@@ -1,42 +1,55 @@
 //! Dead-code elimination based on live-register analysis.
 
-use wm_ir::{Function, InstKind};
+use wm_ir::{Function, InstKind, Reg};
 
-use crate::liveness::{defs_of, uses_of, Liveness};
+use crate::liveness::{defs_of, Liveness};
 
 /// Remove pure instructions whose results are dead. Instructions with side
 /// effects (memory, control flow, FIFO traffic, condition codes, calls) are
 /// always kept. Runs to a fixed point.
 pub fn eliminate_dead_code(func: &mut Function) -> bool {
+    let changed = nop_dead_code(func, defs_of);
+    if changed {
+        func.compact();
+    }
+    changed
+}
+
+/// Turn every transitively dead pure instruction of `func` into a `Nop`
+/// **without** compacting, so instruction positions stay put. An
+/// instruction is dead when no register of `defs(kind)` is live after it:
+/// [`eliminate_dead_code`] passes the tracked-only [`defs_of`], while
+/// passing [`InstKind::defs`] also lets writes of untracked cells (the
+/// stack pointer, the zero register) die. Returns whether anything changed.
+pub(crate) fn nop_dead_code(func: &mut Function, defs: fn(&InstKind) -> Vec<Reg>) -> bool {
     let mut any = false;
     loop {
         let lv = Liveness::compute(func);
         let mut changed = false;
         for bi in 0..func.blocks.len() {
-            let after = lv.live_after(func, bi);
-            for (ii, live) in after.iter().enumerate() {
-                let inst = &func.blocks[bi].insts[ii];
-                if inst.kind == InstKind::Nop || inst.kind.has_side_effects() {
-                    continue;
-                }
-                let defs = defs_of(&inst.kind);
-                if defs.is_empty() {
-                    continue; // e.g. already Nop or a terminator
-                }
-                if defs.iter().all(|d| !live.contains(d)) {
+            // One backward sweep with a running live set: a dead
+            // instruction adds no uses, so chains inside a block fall in
+            // one pass; chains across blocks take another round.
+            let mut live = lv.live_out[bi].clone();
+            for ii in (0..func.blocks[bi].insts.len()).rev() {
+                let kind = &func.blocks[bi].insts[ii].kind;
+                let dead = *kind != InstKind::Nop && !kind.has_side_effects() && {
+                    let d = defs(kind);
+                    !d.is_empty() && d.iter().all(|&r| !live.contains(r))
+                };
+                if dead {
                     func.blocks[bi].insts[ii].kind = InstKind::Nop;
                     changed = true;
+                } else {
+                    live.step_back(kind, func);
                 }
             }
         }
-        if changed {
-            any = true;
-            func.compact();
-        } else {
-            break;
+        if !changed {
+            return any;
         }
+        any = true;
     }
-    any
 }
 
 /// Remove a *matched pair* of WM load and FIFO dequeue whose dequeued value
@@ -60,7 +73,7 @@ pub fn eliminate_dead_load_pairs(func: &mut Function) -> bool {
             // exactly `dst := fifo` with a dead dst
             if *src == wm_ir::RExpr::Op(wm_ir::Operand::Reg(fifo.reg()))
                 && !dst.is_fifo()
-                && !after[ii + 1].contains(dst)
+                && !after[ii + 1].contains(*dst)
             {
                 insts[ii].kind = InstKind::Nop;
                 insts[ii + 1].kind = InstKind::Nop;
@@ -71,8 +84,6 @@ pub fn eliminate_dead_load_pairs(func: &mut Function) -> bool {
     if changed {
         func.compact();
     }
-    // uses_of is pulled in for symmetry with the liveness API
-    let _ = uses_of;
     changed
 }
 

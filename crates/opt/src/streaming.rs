@@ -715,7 +715,8 @@ fn stream_one_loop(
         // uses are counted on a scratch copy with dead code Nopped out
         // (without compaction, preserving instruction positions).
         let iv = l.iv;
-        let cleaned = nop_dead_code(func);
+        let mut cleaned = func.clone();
+        crate::phases::nop_dead_code(&mut cleaned, InstKind::defs);
         let uses_in_loop: usize = lp
             .blocks
             .iter()
@@ -733,7 +734,7 @@ fn stream_one_loop(
             let live_at_exit = lp
                 .exits
                 .iter()
-                .any(|&(_, to)| lv.live_in[to].contains(&iv.reg));
+                .any(|&(_, to)| lv.live_in[to].contains(iv.reg));
             if !live_at_exit {
                 let (bi, ii) = iv.def;
                 func.blocks[bi].insts[ii].kind = InstKind::Nop;
@@ -795,35 +796,6 @@ fn stream_one_loop(
     }
     func.compact();
     report.loops_streamed += 1;
-}
-
-/// A copy of `func` with transitively dead pure instructions turned into
-/// `Nop`, **without** compacting — instruction positions match the
-/// original. Used by step j so addressing code orphaned by the body
-/// rewrite does not count as a live use of the induction variable.
-fn nop_dead_code(func: &Function) -> Function {
-    let mut scratch = func.clone();
-    loop {
-        let lv = Liveness::compute(&scratch);
-        let mut changed = false;
-        for bi in 0..scratch.blocks.len() {
-            let after = lv.live_after(&scratch, bi);
-            for (ii, live) in after.iter().enumerate() {
-                let inst = &scratch.blocks[bi].insts[ii];
-                if inst.kind == InstKind::Nop || inst.kind.has_side_effects() {
-                    continue;
-                }
-                let defs = inst.kind.defs();
-                if !defs.is_empty() && defs.iter().all(|d| !live.contains(d)) {
-                    scratch.blocks[bi].insts[ii].kind = InstKind::Nop;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return scratch;
-        }
-    }
 }
 
 /// The dequeue paired with a WM load: the immediately following instruction

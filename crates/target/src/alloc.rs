@@ -267,7 +267,6 @@ fn lower_conventions(
                     // shares the register file and clobbers freely.
                     let mut across: Vec<Reg> = live_after[ii]
                         .iter()
-                        .copied()
                         .filter(|r| r.is_virt() && Some(*r) != ret)
                         .collect();
                     across.sort();
@@ -429,7 +428,7 @@ fn try_color(func: &Function) -> Result<HashMap<Reg, u8>, Vec<Reg>> {
                 if !tracked(d) {
                     continue;
                 }
-                for &l in &live_after[ii] {
+                for l in live_after[ii].iter() {
                     if l == d || l.class != d.class {
                         continue;
                     }
