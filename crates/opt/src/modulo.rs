@@ -19,9 +19,12 @@
 //! `(s_i, s_j) = (a, b)` is the pure difference constraint
 //! `r_i − r_j ≤ II·(d + b − a) − L`, guarded by two stage literals. Rows
 //! are pairwise distinct (the one-dispatch-per-cycle bound). The minimal
-//! feasible `II` is found by binary search from `MII = m` up to one below
-//! the measured greedy interval; `Unsat`/`Unknown` anywhere simply keeps
-//! the greedy code, so the pass can never regress a loop it touches.
+//! feasible `II` is searched between `MII = m` and one below the measured
+//! greedy interval: `MII` itself is probed first and taken when feasible
+//! (every pipelined loop of the workload suite reaches it, in one solver
+//! call), and only otherwise does a binary search cover the rest of the
+//! range. `Unsat`/`Unknown` anywhere simply keeps the greedy code, so the
+//! pass can never regress a loop it touches.
 //!
 //! The emitted shape for a two-stage schedule reuses the loop's `jNI`
 //! counter protocol without speculation: the original block becomes the
@@ -677,7 +680,12 @@ fn validate(edges: &[Edge], ii: i64, rows: &[i64], stages: &[bool]) -> bool {
         && (0..m).any(|i| !stages[i])
 }
 
-/// Binary-search the minimal feasible II in `[m, greedy)`.
+/// The minimal feasible II in `[m, greedy)`. `MII = m` is probed first and
+/// returned at once when feasible, which is the common case (a loop the
+/// greedy order leaves above its dispatch bound usually reaches it). If it
+/// is not, the rest of the range is binary-searched; the search visits the
+/// same candidates as one over the whole range, with `MII` already known
+/// to fail.
 fn find_schedule(
     m: usize,
     edges: &[Edge],
@@ -689,12 +697,20 @@ fn find_schedule(
     if greedy <= mii {
         return None; // already at the dispatch bound
     }
+    if let Some((rows, stages)) = solve_ii(m, edges, mii, budget) {
+        return Some((mii, rows, stages));
+    }
     let mut lo = mii;
     let mut hi = (greedy - 1).min(mii + MAX_II_SLACK);
     let mut best = None;
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
-        match solve_ii(m, edges, mid, budget) {
+        let found = if mid == mii {
+            None // probed above
+        } else {
+            solve_ii(m, edges, mid, budget)
+        };
+        match found {
             Some((rows, stages)) => {
                 best = Some((mid, rows, stages));
                 hi = mid - 1;
