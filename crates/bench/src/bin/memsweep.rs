@@ -23,10 +23,6 @@
 //!                                  compiled through the tile-partitioning
 //!                                  pass, across tiles × bank counts
 //! memsweep --out FILE              write results to FILE instead
-//! memsweep --engine NAME           simulation engine: cycle, event
-//!                                  (default) or compiled; cycle counts
-//!                                  are engine-independent, so this only
-//!                                  changes sweep wall time
 //! memsweep --check                 fail (exit 1) unless the streaming
 //!                                  speedup grows monotonically with miss
 //!                                  latency on the stream-heavy kernels
@@ -40,7 +36,6 @@
 //! tiled build to beat its 1-tile build outright at the largest swept
 //! bank count on every partitionable kernel.
 
-use wm_stream::sim::Engine;
 use wm_stream::{Compiler, MemModel, OptOptions, WmConfig, Workload};
 
 /// Kernels whose inner loops stream fully: the latency-tolerance gate
@@ -85,14 +80,13 @@ fn suite() -> Vec<Workload> {
 }
 
 /// Cycles for one workload under one optimizer config and memory model.
-fn run(w: &Workload, opts: &OptOptions, spec: &str, engine: Engine) -> u64 {
+fn run(w: &Workload, opts: &OptOptions, spec: &str) -> u64 {
     let compiled = Compiler::new()
         .options(opts.clone())
         .compile(w.source)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let mut cfg = WmConfig::default()
+    let cfg = WmConfig::default()
         .with_mem_model(MemModel::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}")));
-    cfg.engine = engine;
     let r = compiled
         .run_wm_config("main", &[], &cfg)
         .unwrap_or_else(|e| panic!("{} [{spec}]: {e}", w.name));
@@ -122,7 +116,7 @@ impl TilePoint {
 /// Streaming cycles of `w` partitioned over `tiles` cores on `banks`
 /// DRAM banks. Tiled results are bit-identical for any host thread
 /// count, so the sweep just lets the scheduler pick.
-fn run_tiled(w: &Workload, tiles: u64, banks: u64, engine: Engine) -> u64 {
+fn run_tiled(w: &Workload, tiles: u64, banks: u64) -> u64 {
     let opts = OptOptions::all()
         .assume_noalias()
         .with_tiles(tiles as usize);
@@ -131,10 +125,9 @@ fn run_tiled(w: &Workload, tiles: u64, banks: u64, engine: Engine) -> u64 {
         .options(opts)
         .compile(w.source)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let mut cfg = WmConfig::default()
+    let cfg = WmConfig::default()
         .with_mem_model(MemModel::parse(&spec).unwrap_or_else(|e| panic!("{spec}: {e}")))
         .with_tiles(tiles as usize);
-    cfg.engine = engine;
     let r = compiled
         .run_wm_config("main", &[], &cfg)
         .unwrap_or_else(|e| panic!("{} [tiles={tiles} {spec}]: {e}", w.name));
@@ -142,7 +135,7 @@ fn run_tiled(w: &Workload, tiles: u64, banks: u64, engine: Engine) -> u64 {
     r.cycles
 }
 
-fn measure(w: &Workload, spec: &str, x: u64, engine: Engine) -> Point {
+fn measure(w: &Workload, spec: &str, x: u64) -> Point {
     let scalar = OptOptions::all()
         .without_recurrence()
         .without_streaming()
@@ -152,8 +145,8 @@ fn measure(w: &Workload, spec: &str, x: u64, engine: Engine) -> Point {
         workload: w.name.to_string(),
         spec: spec.to_string(),
         x,
-        scalar_cycles: run(w, &scalar, spec, engine),
-        streaming_cycles: run(w, &streaming, spec, engine),
+        scalar_cycles: run(w, &scalar, spec),
+        streaming_cycles: run(w, &streaming, spec),
     }
 }
 
@@ -373,7 +366,6 @@ fn main() {
     let mut bank_counts: Vec<u64> = vec![1, 2, 8];
     let mut tile_counts: Vec<u64> = vec![1, 2, 4];
     let mut gate = false;
-    let mut engine = Engine::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -396,17 +388,11 @@ fn main() {
                 }
             }
             "--check" => gate = true,
-            "--engine" => {
-                engine = Engine::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("memsweep: {e}");
-                    std::process::exit(2);
-                })
-            }
             other => {
                 eprintln!(
                     "memsweep: unknown option {other}\n\
                      usage: memsweep [--latencies N,N,...] [--banks N,N,...] [--tiles N,N,...]\n\
-                     [--out FILE] [--check] [--engine cycle|event|compiled]"
+                     [--out FILE] [--check]"
                 );
                 std::process::exit(2);
             }
@@ -418,25 +404,21 @@ fn main() {
     let mut latency_points = Vec::new();
     for w in &workloads {
         for &l in &latencies {
-            latency_points.push(measure(w, &format!("cache:miss={l}"), l, engine));
+            latency_points.push(measure(w, &format!("cache:miss={l}"), l));
         }
     }
     let mut bank_points = Vec::new();
     for w in &workloads {
         for &b in &bank_counts {
-            bank_points.push(measure(w, &format!("banked:banks={b}"), b, engine));
+            bank_points.push(measure(w, &format!("banked:banks={b}"), b));
         }
     }
     let mut tile_points = Vec::new();
     for w in workloads.iter().filter(|w| PARTITIONABLE.contains(&w.name)) {
         for &b in &bank_counts {
-            let one = run_tiled(w, 1, b, engine);
+            let one = run_tiled(w, 1, b);
             for &t in &tile_counts {
-                let cycles = if t == 1 {
-                    one
-                } else {
-                    run_tiled(w, t, b, engine)
-                };
+                let cycles = if t == 1 { one } else { run_tiled(w, t, b) };
                 tile_points.push(TilePoint {
                     workload: w.name.to_string(),
                     tiles: t,

@@ -29,8 +29,6 @@
 //!                                  not passing the flag)
 //! perf --reps N                    median wall-time of N measured runs after
 //!                                  one untimed warmup (default 3)
-//! perf --engine NAME               simulation engine: cycle, event (default)
-//!                                  or compiled
 //! perf --hw default|latency24      hardware model (latency24 = 24-cycle
 //!                                  memory, one port: the degraded config)
 //! perf --mem MODEL                 memory-system model (flat, cache[:k=v,..]
@@ -44,9 +42,9 @@
 //!                                  failure prints every pair's cycle delta
 //!                                  (baseline/now/%) to localize the damage
 //! perf --compare FILE              fail (exit 1) unless every cycle count
-//!                                  matches FILE exactly (the engine-
-//!                                  equivalence gate); records the wall-
-//!                                  time speedup vs FILE in the output
+//!                                  matches FILE exactly (e.g. a daemon
+//!                                  run against a direct one); records the
+//!                                  wall-time speedup vs FILE in the output
 //! perf --write-baseline FILE       write the cycle baseline for --check
 //! ```
 //!
@@ -55,10 +53,9 @@
 //! the greedy schedule loop-by-loop, so a modulo row with more cycles
 //! than its streaming row on any workload fails the run (exit 1).
 //!
-//! Cycle counts are engine-independent by design, so `--check` works
-//! under either engine; it is refused under `--hw latency24` because the
-//! baseline holds default-hardware cycles. To re-baseline intentionally
-//! after a simulator change:
+//! `--check` is refused under `--hw latency24` because the baseline holds
+//! default-hardware cycles. To re-baseline intentionally after a
+//! simulator change:
 //!
 //! ```text
 //! cargo run --release -p wm-bench --bin perf -- --fast --write-baseline bench/baseline.json
@@ -72,7 +69,6 @@ use std::time::Instant;
 
 use wm_bench::json::{self, Value};
 use wm_bench::reps::RepPlan;
-use wm_stream::sim::Engine;
 use wm_stream::{Compiler, MemModel, OptOptions, WmConfig, Workload};
 
 /// Allowed cycle-count growth before `--check` fails, as a fraction.
@@ -100,7 +96,6 @@ struct WmdStats {
 
 /// Everything recorded at the top level of the results document.
 struct Meta {
-    engine: Engine,
     hw: Hw,
     mem: MemModel,
     reps: usize,
@@ -257,7 +252,6 @@ fn run_suite(sel: SuiteSel, meta: &Meta) -> Vec<RunRecord> {
         std::process::exit(2);
     });
     let mut cfg = meta.hw.config();
-    cfg.engine = meta.engine;
     cfg.mem_model = meta.mem.clone();
     cfg.tiles = meta.tiles;
     let pairs: Vec<(Workload, &'static str, OptOptions)> = suite(sel)
@@ -331,9 +325,8 @@ fn wmd_request(id: &str, w: &Workload, config: &str, meta: &Meta) -> String {
     };
     let mut req = format!(
         "{{\"id\": \"{id}\", \"source\": \"{}\", \"opt\": \"{opt}\", \"noalias\": true, \
-         \"engine\": \"{}\", \"mem\": \"{}\"",
+         \"mem\": \"{}\"",
         json::escape(w.source),
-        meta.engine,
         meta.mem
     );
     if meta.hw == Hw::Latency24 {
@@ -351,7 +344,7 @@ fn wmd_request(id: &str, w: &Workload, config: &str, meta: &Meta) -> String {
 /// submit `reps` repeats that must be answered from the cache with
 /// results bit-identical to the cold run. Cycle counts land in the same
 /// records as the in-process path, so `--compare` gates daemon-vs-direct
-/// agreement exactly like engine-vs-engine agreement.
+/// agreement on every cycle count.
 fn run_suite_wmd(sel: SuiteSel, meta: &mut Meta, wmd_bin: &str) -> Vec<RunRecord> {
     let pairs: Vec<(Workload, &'static str, OptOptions)> = suite(sel)
         .into_iter()
@@ -530,9 +523,8 @@ fn results_json(
     let mut out = String::from("{\n  \"schema\": \"wm-bench-perf-v1\",\n");
     if let Some((m, speedup)) = meta {
         out.push_str(&format!(
-            "  \"engine\": \"{}\",\n  \"hw\": \"{}\",\n  \"mem\": \"{}\",\n  \
+            "  \"hw\": \"{}\",\n  \"mem\": \"{}\",\n  \
              \"reps\": {},\n  \"jobs\": {},\n  \"tiles\": {},\n",
-            m.engine,
             m.hw.name(),
             m.mem,
             m.reps,
@@ -691,8 +683,8 @@ fn modulo_gate(records: &[RunRecord]) -> Vec<String> {
     failures
 }
 
-/// Compare against another results document run by a different engine:
-/// every pair must exist there with the exact same cycle count. Returns
+/// Compare against another results document (a daemon run, an untiled
+/// run): every pair must exist there with the exact same cycle count. Returns
 /// the mismatch report and the wall-time speedup (their total / ours).
 fn compare(records: &[RunRecord], other_src: &str) -> Result<(Vec<String>, f64), String> {
     let doc = json::parse(other_src)?;
@@ -742,7 +734,6 @@ fn main() {
     let mut baseline_out: Option<String> = None;
     let mut wmd_bin: Option<String> = None;
     let mut meta = Meta {
-        engine: Engine::default(),
         hw: Hw::Default,
         mem: MemModel::default(),
         reps: 3,
@@ -768,12 +759,6 @@ fn main() {
             "--compare" => compare_path = Some(need(&mut i)),
             "--write-baseline" => baseline_out = Some(need(&mut i)),
             "--wmd" => wmd_bin = Some(need(&mut i)),
-            "--engine" => {
-                meta.engine = Engine::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("perf: {e}");
-                    std::process::exit(2);
-                })
-            }
             "--mem" => {
                 meta.mem = MemModel::parse(&need(&mut i)).unwrap_or_else(|e| {
                     eprintln!("perf: {e}");
@@ -817,7 +802,7 @@ fn main() {
             other => {
                 eprintln!(
                     "perf: unknown option {other}\n\
-                     usage: perf [--fast|--sparse] [--jobs N] [--tiles N] [--reps N] [--engine cycle|event|compiled]\n\
+                     usage: perf [--fast|--sparse] [--jobs N] [--tiles N] [--reps N]\n\
                      [--hw default|latency24] [--mem flat|cache[:k=v,..]|banked[:k=v,..]]\n\
                      [--wmd BIN] [--out FILE] [--check BASELINE] [--compare RESULTS]\n\
                      [--write-baseline FILE]"
@@ -854,7 +839,7 @@ fn main() {
         None => run_suite(sel, &meta),
     };
 
-    // Resolve the engine-equivalence comparison before writing results so
+    // Resolve the cycle-count comparison before writing results so
     // the measured speedup lands in the output document.
     let compared = compare_path.map(|path| {
         let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -880,9 +865,8 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!(
-        "perf: wrote {} results to {out} (engine {}, hw {}, {} reps, {} jobs, {} tile(s))",
+        "perf: wrote {} results to {out} (hw {}, {} reps, {} jobs, {} tile(s))",
         records.len(),
-        meta.engine,
         meta.hw.name(),
         meta.reps,
         meta.jobs,
@@ -931,10 +915,10 @@ fn main() {
 
     if let Some((path, mismatches, speedup)) = compared {
         if mismatches.is_empty() {
-            eprintln!("perf: engines agree with {path} on every cycle count ({speedup:.2}x wall-time speedup)");
+            eprintln!("perf: every cycle count matches {path} ({speedup:.2}x wall-time speedup)");
         } else {
             for m in &mismatches {
-                eprintln!("perf: ENGINE MISMATCH {m}");
+                eprintln!("perf: CYCLE MISMATCH {m}");
             }
             eprintln!(
                 "perf: {} cycle-count mismatch(es) vs {path}",

@@ -9,8 +9,6 @@
 //! wmcc prog.c --mem-latency 24 --mem-ports 1
 //! wmcc prog.c --mem cache:size=16384,miss=32
 //! wmcc prog.c --mem banked:banks=4,busy=8 --stats
-//! wmcc prog.c --engine cycle          step every cycle instead of fast-forwarding
-//! wmcc prog.c --engine compiled       run the pre-decoded threaded-dispatch tables
 //! wmcc prog.c --entry kernel --args 100,7
 //! wmcc prog.c --inject drop:3,jitter:42:5
 //! wmcc prog.c --speculative-streams
@@ -21,7 +19,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use wm_stream::driver::{deadline_token, JobSpec};
-use wm_stream::sim::{Engine, FaultPlan, SimError};
+use wm_stream::sim::{FaultPlan, SimError};
 use wm_stream::{Compiler, MachineModel, MemModel, OptOptions, Target, WmConfig};
 
 struct Options {
@@ -49,7 +47,7 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                [--entry NAME] [--args N,N,...]
                [--mem-latency N] [--mem-ports N] [--fifo N] [--mem MODEL]
                [--inject SPEC]
-               [--squash-penalty N] [--engine cycle|event|compiled]
+               [--squash-penalty N]
                [--tiles N] [--tile-threads M] [--no-partition]
                [--deadline-ms N] [--error-json FILE]
 
@@ -96,12 +94,6 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
   --squash-penalty N     recovery cycles charged when a misspeculated
                          stream is squashed (default 0); shows up in
                          --stats as SpecSquash stall cycles
-  --engine NAME          simulation engine (default event): `event` fast-
-                         forwards over spans where every unit is stalled or
-                         idle, `cycle` steps every unit every cycle, and
-                         `compiled` executes pre-decoded threaded-dispatch
-                         tables (the fastest); all three produce
-                         bit-identical cycle counts and statistics
   --mem MODEL            memory-system model (default flat). MODEL is
                          flat | cache[:k=v,...] | banked[:k=v,...]:
                            flat     every access takes --mem-latency cycles
@@ -136,7 +128,7 @@ const USAGE: &str = "usage: wmcc FILE.c [--target wm|scalar] [--machine sun3|hp3
                          cannot be proven partitionable runs on tile 0
                          alone — same result, no speedup. Cycle counts and
                          statistics are bit-identical for any host thread
-                         count and all three engines
+                         count
   --tile-threads M       host worker threads stepping the tiles between
                          synchronization epochs (default: one per
                          available CPU). Affects wall-clock time only,
@@ -292,12 +284,6 @@ fn parse_args() -> Options {
                     .filter(|s| !s.is_empty())
                     .map(|s| s.parse().unwrap_or_else(|_| usage()))
                     .collect()
-            }
-            "--engine" => {
-                o.config.engine = Engine::parse(&need(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("wmcc: {e}");
-                    std::process::exit(2);
-                })
             }
             "--mem-latency" => {
                 o.config.mem_latency = need(&mut i).parse().unwrap_or_else(|_| usage())

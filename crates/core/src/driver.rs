@@ -25,8 +25,8 @@ pub struct JobSpec {
     pub source: String,
     /// Optimizer options (opt level, aliasing model, streaming flags).
     pub opts: OptOptions,
-    /// Simulated-machine configuration (engine, memory model, fault
-    /// plan, capacities).
+    /// Simulated-machine configuration (memory model, fault plan,
+    /// capacities).
     pub config: WmConfig,
     /// Entry function name.
     pub entry: String,

@@ -9,10 +9,10 @@
 //! are simulated cycles, reported in the trace's microsecond field so
 //! one cycle renders as 1 µs.
 //!
-//! Under the event-driven engine, spans the simulator fast-forwarded
-//! over appear as one coalesced `stall:<reason>` (or `idle`) event per
-//! stalled unit instead of thousands of per-cycle events, so a
-//! latency-dominated trace stays small and readable.
+//! Spans the simulator fast-forwarded over appear as one coalesced
+//! `stall:<reason>` (or `idle`) event per stalled unit instead of
+//! thousands of per-cycle events, so a latency-dominated trace stays
+//! small and readable.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 
@@ -50,7 +50,7 @@ fn outcome_label(o: Outcome) -> Option<String> {
 /// `events` come from [`wm_sim::WmMachine::trace`] (instruction-level
 /// tracing), `timeline` from [`wm_sim::WmMachine::timeline`]
 /// (FIFO-depth change points) and `spans` from
-/// [`wm_sim::WmMachine::ff_spans`] (stall spans the event engine
+/// [`wm_sim::WmMachine::ff_spans`] (stall spans the simulator
 /// fast-forwarded over). Any of them may be empty; the result is
 /// always a valid trace.
 #[must_use]

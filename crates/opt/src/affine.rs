@@ -258,7 +258,7 @@ impl<'a> LoopAnalysis<'a> {
             return None;
         }
         match &self.func.blocks[dbi].insts[dii].kind {
-            InstKind::Assign { src, .. } => self.eval_expr(src, (dbi, dii), depth - 1),
+            InstKind::Assign { src, .. } => self.affine_expr(src, (dbi, dii), depth - 1),
             InstKind::LoadAddr { sym, disp, .. } => Some(Affine {
                 region: Region::Global(*sym),
                 iv: None,
@@ -350,7 +350,7 @@ impl<'a> LoopAnalysis<'a> {
     }
 
     /// Evaluate an RTL expression at `at` into affine form.
-    pub fn eval_expr(&self, e: &RExpr, at: (usize, usize), depth: u32) -> Option<Affine> {
+    pub fn affine_expr(&self, e: &RExpr, at: (usize, usize), depth: u32) -> Option<Affine> {
         match e {
             RExpr::Op(a) => self.eval_operand(*a, at, depth),
             RExpr::Un(..) => None,

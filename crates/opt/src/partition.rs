@@ -168,7 +168,7 @@ pub fn build_partitions_excluding(
             };
             let affine = match &acc {
                 MemAccess::Generic { mem, .. } => la.eval_memref(mem, (bi, ii), 8),
-                MemAccess::Wm { addr, .. } => la.eval_expr(addr, (bi, ii), 8),
+                MemAccess::Wm { addr, .. } => la.affine_expr(addr, (bi, ii), 8),
             };
             let region = match (&affine, alias) {
                 (None, _) => Region::Unknown,

@@ -167,7 +167,7 @@ fn indirect_addr_forms(addr: &RExpr) -> Vec<(Reg, u8, Reg)> {
 /// global (or root pointer) it addresses, traced through derived address
 /// arithmetic. `Region::Unknown` when the base cannot be resolved.
 fn base_region(la: &LoopAnalysis<'_>, base: Reg, at: (usize, usize)) -> Region {
-    la.eval_expr(&RExpr::Op(Operand::Reg(base)), at, 8)
+    la.affine_expr(&RExpr::Op(Operand::Reg(base)), at, 8)
         .map_or(Region::Unknown, |a| a.region)
 }
 
@@ -251,7 +251,7 @@ fn find_indirect_refs(la: &LoopAnalysis<'_>, extents: &GlobalExtents) -> Vec<Ind
                 let span = match base_region(la, base, (bi, ii)) {
                     Region::Global(sym) => {
                         let off = la
-                            .eval_expr(&RExpr::Op(Operand::Reg(base)), (bi, ii), 8)
+                            .affine_expr(&RExpr::Op(Operand::Reg(base)), (bi, ii), 8)
                             .map_or(0, |a| a.off);
                         extents.get(sym).map(|e| e - off).filter(|s| *s > 0)
                     }
@@ -315,7 +315,7 @@ fn filter_indirect_safety(
             };
             let region = match &acc {
                 MemAccess::Generic { mem, .. } => la.eval_memref(mem, (bi, ii), 8),
-                MemAccess::Wm { addr, .. } => la.eval_expr(addr, (bi, ii), 8),
+                MemAccess::Wm { addr, .. } => la.affine_expr(addr, (bi, ii), 8),
             }
             .map_or(Region::Unknown, |a| a.region);
             refs.push(((bi, ii), acc.is_load(), class, region));

@@ -135,8 +135,8 @@ pub fn execute(
 
 /// Render a run into the canonical single-line result document — the
 /// exact bytes that are cached and spliced into `ok` responses. Two runs
-/// of the same job must render identically (the engines are bit-exact
-/// and [`wm_stream::sim::Stats::to_json`] is deterministic), which is
+/// of the same job must render identically (the simulator is
+/// deterministic and so is [`wm_stream::sim::Stats::to_json`]), which is
 /// what the cache-identity property test pins down.
 pub fn result_payload(r: &RunResult) -> String {
     let ret_flt = if r.ret_flt.is_finite() {
@@ -147,12 +147,11 @@ pub fn result_payload(r: &RunResult) -> String {
     };
     format!(
         "{{\"cycles\": {}, \"instructions\": {}, \"ret_int\": {}, \"ret_flt\": {ret_flt}, \
-         \"output\": \"{}\", \"engine\": \"{}\", \"stats\": {}}}",
+         \"output\": \"{}\", \"stats\": {}}}",
         r.cycles,
         r.stats.instructions(),
         r.ret_int,
         wm_stream::json::escape(&String::from_utf8_lossy(&r.output)),
-        r.engine.name(),
         r.perf.to_json().replace('\n', "")
     )
 }

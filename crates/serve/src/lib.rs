@@ -2,7 +2,7 @@
 //!
 //! A long-running service wrapping the `wm-stream` pipeline: clients
 //! submit batches of `{source, optimizer options, machine configuration,
-//! engine, memory model}` jobs as newline-delimited JSON (over stdio or
+//! memory model}` jobs as newline-delimited JSON (over stdio or
 //! a Unix socket) and receive one terminal response per job, streamed
 //! back as each completes.
 //!
@@ -17,9 +17,7 @@
 //!   watchdog that answers for workers stuck past deadline + grace.
 //! * **Retry and load shedding** — transient failures (injected faults,
 //!   deadline overruns) retry with capped exponential backoff; a full
-//!   queue sheds with an explicit `overloaded` response; a half-full
-//!   queue degrades `compiled`-engine jobs to the `event` engine (bit-
-//!   identical results, cheaper setup).
+//!   queue sheds with an explicit `overloaded` response.
 //! * **A crash-safe artifact cache** ([`cache`]) — results are stored
 //!   content-addressed by the SHA-256 ([`hash`]) of the job's canonical
 //!   key material, written atomically (temp file + rename) with an

@@ -23,10 +23,7 @@
 //! jobs that carry a fault-injection plan — are retried with capped
 //! exponential backoff. Deterministic failures (compile errors, panics,
 //! faults with no injection in play) are not. Admission control sheds
-//! jobs with an `overloaded` response when the queue is full, and
-//! degrades `compiled`-engine jobs to the cheaper-to-set-up `event`
-//! engine when it is half full (the engines are bit-identical, so
-//! degradation changes setup cost, never results).
+//! jobs with an `overloaded` response when the queue is full.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wm_stream::sim::{CancelToken, Engine, SimError};
+use wm_stream::sim::{CancelToken, SimError};
 
 use crate::cache::ArtifactCache;
 use crate::job::{execute, ExecFailure, ModuleCache};
@@ -90,8 +87,6 @@ pub struct Counters {
     pub retries: AtomicU64,
     /// Jobs shed at admission.
     pub shed: AtomicU64,
-    /// Jobs degraded compiled→event at admission.
-    pub degraded: AtomicU64,
     /// Artifact-cache hits.
     pub cache_hits: AtomicU64,
     /// Artifact-cache misses (lookups that went on to execute).
@@ -118,7 +113,6 @@ struct QueuedJob {
     req: JobRequest,
     reply: Sender<String>,
     claimed: Arc<AtomicBool>,
-    degraded: bool,
 }
 
 struct Inflight {
@@ -206,9 +200,9 @@ impl Pool {
         self.shared.queue.lock().unwrap().len()
     }
 
-    /// Admit a job: shed, degrade or enqueue. Always results in exactly
-    /// one terminal response on `reply`, eventually.
-    pub fn submit(&self, mut req: JobRequest, reply: Sender<String>) {
+    /// Admit a job: shed or enqueue. Always results in exactly one
+    /// terminal response on `reply`, eventually.
+    pub fn submit(&self, req: JobRequest, reply: Sender<String>) {
         let s = &self.shared;
         Counters::bump(&s.counters.received);
         let queued = self.queue_len();
@@ -226,17 +220,10 @@ impl Pool {
             let _ = reply.send(line);
             return;
         }
-        let mut degraded = false;
-        if queued >= s.cfg.queue_limit / 2 && req.spec.config.engine == Engine::Compiled {
-            req.spec.config = req.spec.config.clone().with_engine(Engine::Event);
-            degraded = true;
-            Counters::bump(&s.counters.degraded);
-        }
         let job = QueuedJob {
             req,
             reply,
             claimed: Arc::new(AtomicBool::new(false)),
-            degraded,
         };
         s.queue.lock().unwrap().push_back(job);
         s.available.notify_one();
@@ -302,7 +289,6 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
         req,
         reply,
         claimed,
-        degraded,
     } = job;
     let deadline_ms = req.deadline_ms.or(s.cfg.default_deadline_ms);
     let cacheable = !req.no_cache && req.chaos.is_none();
@@ -315,9 +301,7 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
             if claim(&claimed) {
                 Counters::bump(&s.counters.ok);
                 let wall_ms = lookup_start.elapsed().as_secs_f64() * 1e3;
-                let _ = reply.send(proto::ok_line(
-                    &req.id, true, degraded, 0, wall_ms, &payload,
-                ));
+                let _ = reply.send(proto::ok_line(&req.id, true, 0, wall_ms, &payload));
             }
             return;
         }
@@ -353,9 +337,7 @@ fn run_job(s: &Arc<Shared>, index: usize, job: QueuedJob) {
                 }
                 if claim(&claimed) {
                     Counters::bump(&s.counters.ok);
-                    let _ = reply.send(proto::ok_line(
-                        &req.id, false, degraded, attempt, wall_ms, &payload,
-                    ));
+                    let _ = reply.send(proto::ok_line(&req.id, false, attempt, wall_ms, &payload));
                 }
                 return;
             }
@@ -628,55 +610,6 @@ mod tests {
             Some("overloaded")
         );
         assert_eq!(Counters::get(&pool.counters().shed), 1);
-    }
-
-    #[test]
-    fn degrades_compiled_jobs_under_pressure() {
-        // queue_limit 2 → half-full threshold is 1: with a single busy
-        // worker, the second job is admitted at depth >= 1 and degrades.
-        let mut pool = small_pool(PoolConfig {
-            workers: 1,
-            queue_limit: 2,
-            ..PoolConfig::default()
-        });
-        let (tx, rx) = channel();
-        let mut first = req(
-            "first",
-            "int main() { int i; int s; s = 0; for (i = 0; i < 200000; i++) s += i; return s; }",
-        );
-        first.spec.config = first.spec.config.clone().with_engine(Engine::Compiled);
-        let mut second = first.clone();
-        second.id = "second".to_string();
-        pool.submit(first, tx.clone());
-        pool.submit(second, tx.clone());
-        drop(tx);
-        pool.shutdown();
-        let lines: Vec<String> = rx.into_iter().collect();
-        assert_eq!(lines.len(), 2);
-        let degraded: Vec<bool> = lines
-            .iter()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("degraded")
-                    .and_then(Value::as_bool)
-                    .unwrap()
-            })
-            .collect();
-        assert!(degraded.iter().any(|d| *d), "one job degraded: {lines:?}");
-        // Bit-identity across engines: both report the same cycle count.
-        let cycles: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("result")
-                    .and_then(|r| r.get("cycles"))
-                    .and_then(Value::as_u64)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(cycles[0], cycles[1]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! supervision".
 
 use wm_stream::json::{self, Value};
-use wm_stream::sim::{Engine, FaultPlan, MemModel, SimError};
+use wm_stream::sim::{FaultPlan, MemModel, SimError};
 use wm_stream::{JobSpec, OptOptions};
 
 /// A deterministic panic-injection point, enabled only when the daemon
@@ -114,10 +114,6 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
     let mut spec = JobSpec::new(source);
     spec.opts = parse_opts(v)?;
 
-    if let Some(e) = v.get("engine") {
-        let s = e.as_str().ok_or("`engine` must be a string")?;
-        spec.config = spec.config.with_engine(Engine::parse(s)?);
-    }
     if let Some(m) = v.get("mem") {
         let s = m.as_str().ok_or("`mem` must be a string")?;
         spec.config = spec.config.with_mem_model(MemModel::parse(s)?);
@@ -321,13 +317,12 @@ fn id_json(id: Option<&str>) -> String {
 pub fn ok_line(
     id: &str,
     cached: bool,
-    degraded: bool,
     attempts: u32,
     wall_ms: f64,
     result_payload: &str,
 ) -> String {
     format!(
-        "{{\"id\": {}, \"status\": \"ok\", \"cached\": {cached}, \"degraded\": {degraded}, \
+        "{{\"id\": {}, \"status\": \"ok\", \"cached\": {cached}, \
          \"attempts\": {attempts}, \"wall_ms\": {wall_ms:.3}, \"result\": {result_payload}}}",
         id_json(Some(id))
     )
@@ -365,7 +360,7 @@ mod tests {
     fn parses_the_full_envelope() {
         let r = parse_request(
             r#"{"id": "j2", "source": "int f(int n) { return n; }", "opt": "classical",
-                "noalias": true, "engine": "compiled", "mem": "banked:banks=4",
+                "noalias": true, "mem": "banked:banks=4",
                 "mem_latency": 9, "fifo": 16, "entry": "f", "args": [7],
                 "deadline_ms": 250, "no_cache": true, "inject": "drop:3"}"#,
         )
@@ -377,7 +372,6 @@ mod tests {
         assert_eq!(j.spec.args, vec![7]);
         assert_eq!(j.deadline_ms, Some(250));
         assert!(j.no_cache);
-        assert_eq!(j.spec.config.engine.name(), "compiled");
         assert_eq!(j.spec.config.mem_model.name(), "banked");
         assert!(!j.spec.config.fault_plan.is_empty());
     }
@@ -421,7 +415,7 @@ mod tests {
 
     #[test]
     fn bad_requests_keep_the_id_when_possible() {
-        let (id, msg) = parse_request(r#"{"id": "j9", "engine": "event"}"#).unwrap_err();
+        let (id, msg) = parse_request(r#"{"id": "j9", "mem": "flat"}"#).unwrap_err();
         assert_eq!(id.as_deref(), Some("j9"));
         assert!(msg.contains("source"));
         let (id, _) = parse_request("not json at all").unwrap_err();

@@ -188,7 +188,7 @@ impl Server {
         format!(
             "{{\"op\": \"stats\", \"uptime_ms\": {}, \"workers\": {}, \"queue\": {}, \
              \"received\": {}, \"ok\": {}, \"errors\": {}, \"panics\": {}, \"retries\": {}, \
-             \"shed\": {}, \"degraded\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+             \"shed\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
              \"stuck\": {}, \"bad_requests\": {}, \"scrub_removed\": {}}}",
             self.started.elapsed().as_millis(),
             self.workers,
@@ -199,7 +199,6 @@ impl Server {
             g(&c.panics),
             g(&c.retries),
             g(&c.shed),
-            g(&c.degraded),
             g(&c.cache_hits),
             g(&c.cache_misses),
             g(&c.stuck),

@@ -1,18 +1,19 @@
 //! Property: the content-addressed artifact cache is invisible.
 //!
-//! For a random job (source × optimizer level × engine × memory model),
-//! the payload rendered by a cold run, the payload read back from the
-//! on-disk cache, and the payload of an entirely fresh re-run are all
-//! bit-identical. This is the contract that lets `wmd` answer `cached:
-//! true` without any asterisk — and it leans on the repo-wide invariant
-//! that all three engines are deterministic and bit-exact.
+//! For a random job (source × optimizer level × memory model), the
+//! payload rendered by a cold run, the payload read back from the
+//! on-disk cache, and the payload of an entirely fresh re-run — with
+//! the simulator's fast-forward flipped — are all bit-identical. This
+//! is the contract that lets `wmd` answer `cached: true` without any
+//! asterisk — and it leans on the repo-wide invariant that the
+//! simulator is deterministic and fast-forward is exact.
 
 use proptest::prelude::*;
 
 use wm_serve::cache::ArtifactCache;
 use wm_serve::job::{execute, ModuleCache};
 use wm_serve::proto::JobRequest;
-use wm_stream::sim::{CancelToken, Engine, MemModel};
+use wm_stream::sim::{CancelToken, MemModel};
 use wm_stream::JobSpec;
 
 /// Tiny sources spanning the interesting execution shapes: a scalar
@@ -39,15 +40,14 @@ const SOURCES: [&str; 4] = [
     "int main() { putchar(119); putchar(109); putchar(10); return 7; }",
 ];
 
-const ENGINES: [Engine; 3] = [Engine::Cycle, Engine::Event, Engine::Compiled];
 const MEMS: [&str; 3] = ["flat", "cache", "banked"];
 
-fn job(source_ix: usize, opt_full: bool, engine_ix: usize, mem_ix: usize) -> JobRequest {
+fn job(source_ix: usize, opt_full: bool, fast_forward: bool, mem_ix: usize) -> JobRequest {
     let mut spec = JobSpec::new(SOURCES[source_ix]);
     if !opt_full {
         spec.opts.streaming = false;
     }
-    spec.config.engine = ENGINES[engine_ix];
+    spec.config.fast_forward = fast_forward;
     spec.config.mem_model = MemModel::parse(MEMS[mem_ix]).unwrap();
     JobRequest {
         id: "prop".to_string(),
@@ -63,18 +63,18 @@ proptest! {
     fn cached_payloads_are_bit_identical_to_fresh_runs(
         source_ix in 0usize..4,
         opt_bit in 0usize..2,
-        engine_ix in 0usize..3,
+        ff_bit in 0usize..2,
         mem_ix in 0usize..3,
     ) {
         let opt_full = opt_bit == 1;
         let dir = std::env::temp_dir().join(format!(
             "wmd-prop-{}-{}-{}-{}-{}",
-            std::process::id(), source_ix, opt_bit, engine_ix, mem_ix
+            std::process::id(), source_ix, opt_bit, ff_bit, mem_ix
         ));
         let (cache, _) = ArtifactCache::open(&dir).unwrap();
         let modules = ModuleCache::new(16);
 
-        let req = job(source_ix, opt_full, engine_ix, mem_ix);
+        let req = job(source_ix, opt_full, ff_bit == 1, mem_ix);
         let key = ArtifactCache::key_of(&req.spec.cache_key_material());
 
         // Cold run, stored through the real write path (temp + rename).
@@ -85,9 +85,11 @@ proptest! {
         let replay = cache.lookup(&key).expect("entry written a moment ago");
         prop_assert_eq!(&replay, &cold, "cache round-trip changed bytes");
 
-        // A fresh pipeline run (new module memo, new token) must render
-        // the very same bytes: determinism is what makes caching sound.
-        let fresh = execute(&req, &CancelToken::new(), false, &ModuleCache::new(16)).unwrap();
+        // A fresh pipeline run (new module memo, new token, fast-forward
+        // flipped) must render the very same bytes: determinism is what
+        // makes caching sound.
+        let flipped = job(source_ix, opt_full, ff_bit == 0, mem_ix);
+        let fresh = execute(&flipped, &CancelToken::new(), false, &ModuleCache::new(16)).unwrap();
         prop_assert_eq!(&fresh, &cold, "re-execution diverged from cached payload");
 
         std::fs::remove_dir_all(&dir).ok();

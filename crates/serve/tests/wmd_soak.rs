@@ -170,7 +170,7 @@ fn mixed_chaos_batch_gets_exactly_one_response_per_job() {
     // Phase 1: everything that can go wrong, plus healthy jobs mixed in.
     let batch = vec![
         job("good-sum", GOOD_SUM, ""),
-        job("good-dot", GOOD_DOT, "\"engine\": \"compiled\""),
+        job("good-dot", GOOD_DOT, "\"mem\": \"banked\""),
         job("bad-compile", "int main( {", ""),
         job("boom-compile", GOOD_SUM, "\"chaos\": \"panic-compile\""),
         job("boom-simulate", GOOD_SUM, "\"chaos\": \"panic-simulate\""),

@@ -1,34 +1,31 @@
-//! The compiled stepping engine: threaded dispatch over pre-decoded
-//! tables.
+//! The cycle stepper: threaded dispatch over the pre-decoded tables.
 //!
-//! [`WmMachine::step_compiled`] simulates one cycle like the reference
-//! stepper, but the per-unit issue path executes [`DecodedInst`] records
-//! instead of interpreting [`wm_ir::InstKind`]: the FIFO demand and
-//! interlock register set are precomputed bit tests, operands are flat
-//! slots, and the instruction's behavior is an indirect call through its
-//! exec function pointer — no match on the instruction kind in the hot
-//! loop. The IFU walks the same tables with branch targets and call
-//! destinations pre-resolved.
+//! [`WmMachine::step`] simulates one cycle. Memory delivery, the VEU,
+//! the store drain, the SCUs and perf sampling are shared per-cycle
+//! phases; the IEU/FEU issue path and the IFU run here, over
+//! [`DecodedInst`] records rather than [`wm_ir::InstKind`]:
 //!
-//! Bit-identity with the cycle/event engines is structural:
+//! * a unit's FIFO demand and paired-ALU interlock register set are
+//!   precomputed bit tests, and its operands are flat register slots;
+//! * an instruction's behaviour is an indirect call through its exec
+//!   handler ([`exec_assign`], [`exec_loadaddr`], [`exec_compare`],
+//!   [`exec_wload`], [`exec_wstore`]) — no match on the instruction kind
+//!   in the hot loop;
+//! * stream, channel and VEU-port configuration, which run once per loop
+//!   rather than per element, carry [`exec_fallback`], which executes
+//!   the original instruction through [`WmMachine::exec_unit_head`];
+//! * FIFO reads go through [`WmMachine::pop_fifo`], so dequeue,
+//!   poison-consumption and deadlock semantics live in one place;
+//! * the IFU walks the same tables with branch targets and call
+//!   destinations pre-resolved.
 //!
-//! * every exec handler mirrors the corresponding interpreter arm
-//!   check-for-check, in the same order, mutating the same state and
-//!   counters;
-//! * anything the decode tables cannot express exactly (stream
-//!   configuration, FIFO-mapped register corner cases, cross-class
-//!   operands, unresolvable symbols) carries the interpreter fallback
-//!   handler, which calls [`WmMachine::exec_unit_head`] on the original
-//!   instruction;
-//! * FIFO reads delegate to [`WmMachine::read_operand`], so dequeue,
-//!   poison-consumption and deadlock semantics are literally the same
-//!   code;
-//! * the shared per-cycle phases (memory delivery, VEU, store drain,
-//!   SCUs, perf sampling) and the fast-forward tail are the same
-//!   functions the other engines run.
+//! After the cycle, [`WmMachine::fast_forward`] jumps over any
+//! all-stalled span when [`WmConfig::fast_forward`] is on. The
+//! simulation golden (`tests/sim_golden.rs`) pins every cycle count and
+//! counter of the test and benchmark matrices; the fast-forward on/off
+//! tests and the differential fuzzer check new programs.
 //!
-//! `tests/engine_equiv.rs` and the differential fuzzer enforce full
-//! `Stats`/`SimError` equality across all three engines.
+//! [`WmConfig::fast_forward`]: crate::WmConfig::fast_forward
 
 use wm_ir::{Operand, RegClass, UnOp};
 
@@ -41,36 +38,36 @@ use crate::mem::Access;
 use crate::stats::{Outcome, Stall};
 
 impl<'m> WmMachine<'m> {
-    /// Advance one cycle with the pre-decoded dispatch tables, then
-    /// fast-forward over any all-stalled span (the same tail the event
-    /// engine uses).
-    ///
-    /// Behaves exactly like [`WmMachine::step`] — same cycle counts, same
-    /// counters, same faults — but the scalar-unit and IFU hot paths run
-    /// the decoded tables instead of interpreting the IR.
+    /// Advance one cycle, then — when [`WmConfig::fast_forward`] is on —
+    /// jump to just before the next event if no unit could make progress.
     ///
     /// # Errors
     ///
-    /// Exactly the errors [`WmMachine::step`] reports, at the same cycle.
-    pub fn step_compiled(&mut self) -> Result<(), SimError> {
+    /// Faults, deadlocks detected at a FIFO dequeue, and malformed
+    /// control flow, each at the cycle it happens.
+    ///
+    /// [`WmConfig::fast_forward`]: crate::WmConfig::fast_forward
+    pub fn step(&mut self) -> Result<(), SimError> {
         self.cycle += 1;
         self.ports_used = 0;
         self.deliver_memory()?;
-        self.unit_step_c(RegClass::Int)?;
-        self.unit_step_c(RegClass::Flt)?;
+        self.unit_step(RegClass::Int)?;
+        self.unit_step(RegClass::Flt)?;
         self.veu_step()?;
         self.drain_stores()?;
         self.scu_step()?;
-        self.ifu_step_c()?;
+        self.ifu_step()?;
         self.sample_perf();
-        self.fast_forward();
+        if self.config.fast_forward {
+            self.fast_forward();
+        }
         Ok(())
     }
 
-    /// Decoded counterpart of the interpreter's per-unit step: identical
-    /// outcome recording, decoded issue path.
-    fn unit_step_c(&mut self, class: RegClass) -> Result<(), SimError> {
-        let outcome = self.unit_step_c_inner(class)?;
+    /// One IEU/FEU cycle: issue the queue head if it can, and record the
+    /// unit's outcome.
+    fn unit_step(&mut self, class: RegClass) -> Result<(), SimError> {
+        let outcome = self.unit_issue(class)?;
         match class {
             RegClass::Int => {
                 self.perf.ieu.record(outcome);
@@ -84,7 +81,7 @@ impl<'m> WmMachine<'m> {
         Ok(())
     }
 
-    fn unit_step_c_inner(&mut self, class: RegClass) -> Result<Outcome, SimError> {
+    fn unit_issue(&mut self, class: RegClass) -> Result<Outcome, SimError> {
         if self.unit(class).busy > 0 {
             self.unit_mut(class).busy -= 1;
             return Ok(Outcome::Active);
@@ -146,20 +143,22 @@ impl<'m> WmMachine<'m> {
         Ok(Outcome::Active)
     }
 
-    /// Decoded counterpart of the interpreter's IFU step.
-    fn ifu_step_c(&mut self) -> Result<(), SimError> {
+    /// Fetch and dispatch. Control transfers are free (bounded per cycle);
+    /// one instruction is dispatched to a unit queue per cycle.
+    fn ifu_step(&mut self) -> Result<(), SimError> {
         let before = self.stats.insts_ifu;
-        let outcome = self.ifu_step_c_inner()?;
+        let outcome = self.ifu_fetch()?;
+        // control instructions the IFU itself executed this cycle
         self.perf.ifu.retired += self.stats.insts_ifu - before;
         self.perf.ifu.record(outcome);
         self.last_outcomes.ifu = outcome;
         Ok(())
     }
 
-    /// One IFU cycle over the decoded tables, mirroring the interpreter's
-    /// fetch loop arm-for-arm (same stall reasons, same free-transfer
-    /// accounting, same runaway-control cap).
-    fn ifu_step_c_inner(&mut self) -> Result<Outcome, SimError> {
+    /// One IFU cycle, attributing it: a cycle that performed any transfer,
+    /// dispatch or IFU-executed instruction is active; otherwise the
+    /// reason the fetch could not proceed is named.
+    fn ifu_fetch(&mut self) -> Result<Outcome, SimError> {
         if self.cycle < self.ifu_hold {
             self.stats.ifu_stalls += 1;
             return Ok(Outcome::Stall(Stall::Sync));
@@ -385,14 +384,11 @@ impl<'m> WmMachine<'m> {
     }
 }
 
-// ---- exec handlers (the decoded replacements for the interpreter's
-// `exec_unit_head` match arms; each mirrors its arm check-for-check) ----
+// ---- exec handlers: one per decoded unit-instruction payload ----
 
 /// Read one decoded source slot. FIFO slots dequeue through the shared
 /// [`WmMachine::pop_fifo`] (the same code `read_operand` runs), so
-/// poison and deadlock semantics cannot diverge; the decode-time slot
-/// classification just skips `read_operand`'s re-derivation of what the
-/// operand is.
+/// poison and deadlock semantics cannot diverge.
 fn read_slot<'m>(m: &mut WmMachine<'m>, class: RegClass, s: Src) -> Result<Val, SimError> {
     match s {
         Src::Imm(v) => Ok(Val::I(v)),
@@ -406,8 +402,8 @@ fn read_slot<'m>(m: &mut WmMachine<'m>, class: RegClass, s: Src) -> Result<Val, 
     }
 }
 
-/// Write a decoded destination slot (register 1 is never decoded, so
-/// this cannot fail).
+/// Write a decoded destination slot (a write to register 1 is refused
+/// at load, so this cannot fail).
 fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     match d {
         Dst::Zero => {} // writes to the zero register are discarded
@@ -416,9 +412,8 @@ fn write_dst(m: &mut WmMachine<'_>, class: RegClass, d: Dst, v: Val) {
     }
 }
 
-/// Evaluate a decoded expression with the interpreter's operand order
-/// and fault semantics (FIFO dequeues happen in a, b, c order; division
-/// by zero faults from `eval_bin`).
+/// Evaluate a decoded expression: FIFO dequeues happen in a, b, c
+/// order, and division by zero faults from `eval_bin`.
 fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<Val, SimError> {
     match *e {
         DecExpr::Op(a) => read_slot(m, class, a),
@@ -448,10 +443,9 @@ fn eval_dec<'m>(m: &mut WmMachine<'m>, class: RegClass, e: &DecExpr) -> Result<V
 }
 
 /// Side-effect-free preview of a decoded address expression; `None` when
-/// it reads a FIFO or cannot fold — exactly when the interpreter's
-/// `eval_expr_pure` returns `None` on the original expression (decode
-/// folds only immediate pairs that `fold_int` accepts, so a fold never
-/// turns an unanalyzable address into an analyzable one or vice versa).
+/// it reads a FIFO or cannot fold. Decode folds only immediate pairs
+/// that `fold_int` accepts, so a fold never turns an unanalyzable
+/// address into an analyzable one or vice versa.
 fn eval_dec_pure(m: &WmMachine<'_>, class: RegClass, e: &DecExpr) -> Option<i64> {
     let read = |s: Src| -> Option<i64> {
         match s {
@@ -537,8 +531,8 @@ pub(crate) fn exec_compare<'m>(
     Ok(Exec::Retired(None))
 }
 
-/// Decoded `WLoad`: same port/stream/capacity/ordering checks as the
-/// interpreter arm, in the same order.
+/// Decoded `WLoad`: port, stream-interlock, capacity and memory-ordering
+/// checks, in that order, then the request.
 pub(crate) fn exec_wload<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Result<Exec, SimError> {
     let Payload::WLoad { fifo, addr, width } = d.payload else {
         unreachable!("exec_wload wired to a non-WLoad payload");
@@ -586,9 +580,8 @@ pub(crate) fn exec_wload<'m>(m: &mut WmMachine<'m>, d: &DecodedInst<'m>) -> Resu
         // A successful integer-unit preview read no FIFO and every fold
         // succeeded, so re-evaluating is side-effect-free, cannot fault and
         // produces the same address: reuse it instead of running `eval_dec`
-        // again (the interpreter re-evaluates; the value is identical by
-        // construction). Float-unit address arithmetic is not previewable
-        // that way, so it always re-evaluates.
+        // again. Float-unit address arithmetic is not previewable that
+        // way, so it always re-evaluates.
         let a = match previewed {
             Some(a) if d.class == RegClass::Int => a,
             _ => eval_dec(m, d.class, &addr)?.as_i(),
@@ -660,11 +653,9 @@ pub(crate) fn exec_wstore<'m>(
     Ok(Exec::Retired(None))
 }
 
-/// The interpreter fallback: run the reference `exec_unit_head` arm on
-/// the original instruction. Carried by every instruction the decode
-/// tables cannot express exactly (stream configuration, FIFO-mapped
-/// destination corner cases, cross-class operands, unresolvable
-/// symbols), which makes those paths bit-identical by construction.
+/// Run the original instruction through [`WmMachine::exec_unit_head`].
+/// Carried by the unit instructions with no decoded payload: stream,
+/// channel and VEU-port configuration, and scalar channel transfers.
 pub(crate) fn exec_fallback<'m>(
     m: &mut WmMachine<'m>,
     d: &DecodedInst<'m>,

@@ -1,6 +1,5 @@
 //! Simulator configuration.
 
-use crate::fastforward::Engine;
 use crate::mem::MemModel;
 
 /// Deterministic fault-injection plan: degrade the simulated hardware in
@@ -113,10 +112,11 @@ pub struct WmConfig {
     pub squash_penalty: u64,
     /// Deterministic fault injection (empty by default).
     pub fault_plan: FaultPlan,
-    /// Stepping engine: per-cycle, or event-driven fast-forward over
-    /// all-stalled spans (bit-identical counters, much faster on
-    /// latency-dominated configurations).
-    pub engine: Engine,
+    /// Jump over spans in which every unit is stalled or idle until the
+    /// next event, instead of stepping them one cycle at a time. On by
+    /// default. Cycle counts, counters and faults are bit-identical
+    /// either way; turning it off exists only so tests can check that.
+    pub fast_forward: bool,
     /// Memory-system model: `flat` (the default; every request costs
     /// `mem_latency`), or a hierarchy with an L1 data cache, stream
     /// buffers and optionally banked DRAM (see [`MemModel`]). Under a
@@ -164,7 +164,7 @@ impl Default for WmConfig {
             max_cycles: 2_000_000_000,
             squash_penalty: 0,
             fault_plan: FaultPlan::default(),
-            engine: Engine::default(),
+            fast_forward: true,
             mem_model: MemModel::default(),
             tiles: 1,
             chan_latency: 16,
@@ -235,13 +235,6 @@ impl WmConfig {
     /// [`FaultPlan::parse`] is valid.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> WmConfig {
         self.fault_plan = plan;
-        self
-    }
-
-    /// A configuration with an explicit stepping engine. Both engines are
-    /// always valid (they produce bit-identical results).
-    pub fn with_engine(mut self, engine: Engine) -> WmConfig {
-        self.engine = engine;
         self
     }
 

@@ -1,32 +1,30 @@
-//! Pre-decoded instruction tables for the compiled stepping engine.
+//! Pre-decoded instruction tables, built once at machine construction.
 //!
-//! The per-cycle and event engines interpret [`InstKind`] with a match on
-//! every issue attempt: operands are re-classified (register? FIFO? zero?
-//! immediate?), FIFO demands and interlock register sets are recomputed,
-//! branch labels are resolved by a linear block scan, and global symbols
-//! are looked up per execution. `DecodedProgram` does all of that work
-//! once, at machine construction:
+//! Every issue attempt of the stepper ([`crate::compiled`]) reads a
+//! [`DecodedInst`] instead of the module's [`InstKind`]. Decoding does
+//! the per-instruction analysis once:
 //!
-//! * every instruction slot gets a [`DecodedInst`] — a `Copy` record with
-//!   an indirect **exec function pointer** ([`ExecFn`]) replacing the
-//!   interpreter's match, its FIFO demand (`need`) and interlock register
-//!   set (`read_mask`) precomputed, and its operands resolved to flat
-//!   array slots ([`Src`]/[`Dst`]);
+//! * every instruction slot gets a `Copy` record with an indirect **exec
+//!   function pointer** ([`ExecFn`]), its FIFO demand (`need`) and
+//!   interlock register set (`read_mask`) precomputed, and its operands
+//!   resolved to flat array slots ([`Src`]/[`Dst`]);
 //! * immediate-only subexpressions are folded (integer folds skip
 //!   division by zero so the runtime fault is preserved; float folds use
 //!   the identical `f64` operations, so results stay bit-identical);
 //! * control flow is resolved: branch targets become block indices,
 //!   `Call` targets become function indices, and `LoadAddr` symbols are
 //!   folded to absolute addresses;
-//! * instructions the table cannot express exactly (stream configuration,
-//!   FIFO-mapped or cross-class corner cases) decode to a **fallback**
-//!   exec that calls the reference interpreter arm for that one
-//!   instruction, so behavior is bit-identical by construction.
+//! * stream, channel and VEU-port configuration keep no payload and
+//!   decode to the **fallback** exec, which runs the original instruction
+//!   through [`WmMachine::exec_unit_head`](crate::WmMachine);
+//! * a unit instruction no slot can express — a register of the other
+//!   unit's class, a write to the read-only FIFO register 1, or the
+//!   address of a non-data symbol — fails the decode, so
+//!   [`WmMachine::new`](crate::WmMachine::new) refuses the module.
 //!
-//! The unit instruction queues hold `u32` indices into this table (for
-//! every engine — a dispatched instruction is identified by its slot, not
-//! by a clone), and [`DecodedInst::kind`] points back at the module's
-//! original [`InstKind`] for traces, fault reports and the fallback path.
+//! The unit instruction queues hold `u32` indices into this table, and
+//! [`DecodedInst::kind`] points back at the module's original
+//! [`InstKind`] for traces, fault reports and the fallback path.
 
 use std::collections::HashMap;
 
@@ -38,10 +36,9 @@ use wm_ir::{
 use crate::compiled::{
     exec_assign, exec_compare, exec_fallback, exec_loadaddr, exec_wload, exec_wstore,
 };
-use crate::machine::{dispatch_class, fifo_need, Exec, SimError, WmMachine};
+use crate::machine::{Exec, SimError, WmMachine};
 
-/// An exec handler for one decoded instruction: the compiled engine's
-/// replacement for the interpreter's match on [`InstKind`].
+/// An exec handler for one decoded instruction.
 pub(crate) type ExecFn =
     for<'a, 'm> fn(&'a mut WmMachine<'m>, &DecodedInst<'m>) -> Result<Exec, SimError>;
 
@@ -61,7 +58,7 @@ pub(crate) enum Src {
 }
 
 /// A destination register resolved to a flat slot. Writes to register 1
-/// (read-only FIFO) are not representable — such instructions fall back.
+/// (read-only FIFO) are not representable; decode refuses them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Dst {
     /// Register 0: push onto the unit's output FIFO.
@@ -96,8 +93,7 @@ pub(crate) enum Payload {
         dst: Dst,
         src: DecExpr,
         /// The register the paired-ALU interlock must delay (`None` for
-        /// FIFO/zero destinations) — precomputed from the interpreter's
-        /// retire bookkeeping.
+        /// FIFO/zero destinations).
         executed_dst: Option<u8>,
     },
     LoadAddr {
@@ -121,7 +117,7 @@ pub(crate) enum Payload {
         addr: DecExpr,
         width: Width,
     },
-    /// No decoded payload: the exec handler is the interpreter fallback.
+    /// No decoded payload: the exec handler is the fallback.
     None,
 }
 
@@ -176,9 +172,9 @@ pub(crate) enum IfuOp {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedInst<'m> {
     /// The module's original instruction (for traces, fault reports and
-    /// the interpreter fallback).
+    /// the fallback).
     pub(crate) kind: &'m InstKind,
-    /// The exec handler the compiled engine calls instead of matching.
+    /// The exec handler the stepper calls.
     pub(crate) exec: ExecFn,
     /// Entries dequeued from each input FIFO (precomputed `fifo_need`).
     pub(crate) need: [u8; 2],
@@ -201,9 +197,7 @@ pub(crate) struct DecFunc {
 }
 
 /// The whole module, pre-decoded. Built once by [`WmMachine::new`] and
-/// shared by all three engines: the interpreters use it to resolve queued
-/// instruction indices back to [`InstKind`]s, the compiled engine
-/// executes it directly.
+/// executed directly by the stepper.
 #[derive(Debug)]
 pub struct DecodedProgram<'m> {
     pub(crate) funcs: Vec<DecFunc>,
@@ -213,7 +207,15 @@ pub struct DecodedProgram<'m> {
 impl<'m> DecodedProgram<'m> {
     /// Pre-decode every function of `module`. `addrs` maps data symbols
     /// to their loaded addresses (used to fold `LoadAddr`).
-    pub(crate) fn decode(module: &'m Module, addrs: &HashMap<SymId, i64>) -> DecodedProgram<'m> {
+    ///
+    /// # Errors
+    ///
+    /// Why the first unit instruction that no decoded slot can express
+    /// is malformed.
+    pub(crate) fn decode(
+        module: &'m Module,
+        addrs: &HashMap<SymId, i64>,
+    ) -> Result<DecodedProgram<'m>, String> {
         let mut insts = Vec::new();
         let mut funcs = Vec::with_capacity(module.functions.len());
         for f in &module.functions {
@@ -221,19 +223,13 @@ impl<'m> DecodedProgram<'m> {
             for b in &f.blocks {
                 let start = insts.len() as u32;
                 for inst in &b.insts {
-                    insts.push(decode_inst(module, f, addrs, &inst.kind));
+                    insts.push(decode_inst(module, f, addrs, &inst.kind)?);
                 }
                 blocks.push((start, b.insts.len() as u32));
             }
             funcs.push(DecFunc { blocks });
         }
-        DecodedProgram { funcs, insts }
-    }
-
-    /// Flat table index of the instruction at (`func`, `block`, `inst`).
-    #[inline]
-    pub(crate) fn index_of(&self, func: usize, block: usize, inst: usize) -> u32 {
-        self.funcs[func].blocks[block].0 + inst as u32
+        Ok(DecodedProgram { funcs, insts })
     }
 
     /// Number of decoded instruction slots.
@@ -251,8 +247,8 @@ impl<'m> DecodedProgram<'m> {
     /// position in the original instruction, every folded immediate must
     /// equal the fold of the original immediates, every pre-resolved
     /// control target must match a fresh label/symbol resolution, and the
-    /// precomputed FIFO demands and interlock masks must match the
-    /// interpreter's per-cycle computation. Returns the number of
+    /// precomputed FIFO demands and interlock masks must match a fresh
+    /// computation from the original instruction. Returns the number of
     /// instruction slots checked.
     ///
     /// # Errors
@@ -306,11 +302,10 @@ fn decode_inst<'m>(
     func: &'m wm_ir::Function,
     addrs: &HashMap<SymId, i64>,
     kind: &'m InstKind,
-) -> DecodedInst<'m> {
+) -> Result<DecodedInst<'m>, String> {
     let bi = |l: wm_ir::Label| func.block_index(l) as u32;
-    // The IFU action mirrors the interpreter's fetch match arm-for-arm —
-    // in particular the cross-unit-conversion Assign pattern is tested
-    // *before* the generic dispatch arm, exactly as the interpreter does.
+    // The cross-unit-conversion Assign pattern is an IFU instruction: it
+    // must be matched *before* the generic dispatch arm.
     let ifu = match kind {
         InstKind::Nop => IfuOp::Nop,
         InstKind::Jump { target } => IfuOp::Jump { block: bi(*target) },
@@ -357,7 +352,7 @@ fn decode_inst<'m>(
     if ifu != IfuOp::Dispatch {
         // IFU-handled or VEU instructions never reach a scalar unit's
         // issue logic; their exec slot is the (unreachable) fallback.
-        return DecodedInst {
+        return Ok(DecodedInst {
             kind,
             exec: exec_fallback,
             need: [0, 0],
@@ -365,12 +360,12 @@ fn decode_inst<'m>(
             class: RegClass::Int,
             payload: Payload::None,
             ifu,
-        };
+        });
     }
     let class = dispatch_class(kind);
     let need = fifo_need(class, kind);
-    let (exec, payload) = decode_exec(class, addrs, kind);
-    DecodedInst {
+    let (exec, payload) = decode_exec(module, class, addrs, kind)?;
+    Ok(DecodedInst {
         kind,
         exec,
         need: [need[0] as u8, need[1] as u8],
@@ -378,125 +373,125 @@ fn decode_inst<'m>(
         class,
         payload,
         ifu,
-    }
+    })
 }
 
-/// Decode the execution payload, falling back to the interpreter for any
-/// form the table cannot express exactly.
-fn decode_exec(class: RegClass, addrs: &HashMap<SymId, i64>, kind: &InstKind) -> (ExecFn, Payload) {
-    let fallback = (exec_fallback as ExecFn, Payload::None);
-    match kind {
-        InstKind::Assign { dst, src } => match (dst_slot(class, *dst), decode_expr(class, src)) {
-            (Some(d), Some(e)) => {
-                let executed_dst = if !dst.is_fifo() && !dst.is_zero() {
-                    dst.phys_num()
-                } else {
-                    None
-                };
-                (
-                    exec_assign as ExecFn,
-                    Payload::Assign {
-                        dst: d,
-                        src: e,
-                        executed_dst,
-                    },
-                )
-            }
-            _ => fallback,
-        },
-        InstKind::LoadAddr { dst, sym, disp } => {
-            match (dst_slot(class, *dst), addrs.get(sym)) {
-                (Some(d), Some(&base)) => (
-                    exec_loadaddr as ExecFn,
-                    Payload::LoadAddr {
-                        dst: d,
-                        addr: base + disp,
-                        // the interpreter records `dst.phys_num()`
-                        // unfiltered here (unlike Assign)
-                        executed_dst: dst.phys_num(),
-                    },
-                ),
-                _ => fallback,
-            }
+/// Decode the execution payload of a unit instruction. Operands are
+/// resolved in evaluation order, so a malformed instruction reports the
+/// problem its execution would have hit first.
+fn decode_exec(
+    module: &Module,
+    class: RegClass,
+    addrs: &HashMap<SymId, i64>,
+    kind: &InstKind,
+) -> Result<(ExecFn, Payload), String> {
+    Ok(match kind {
+        InstKind::Assign { dst, src } => {
+            let src = decode_expr(class, src)?;
+            let executed_dst = if !dst.is_fifo() && !dst.is_zero() {
+                dst.phys_num()
+            } else {
+                None
+            };
+            (
+                exec_assign as ExecFn,
+                Payload::Assign {
+                    dst: dst_slot(class, *dst)?,
+                    src,
+                    executed_dst,
+                },
+            )
         }
-        InstKind::Compare { op, a, b, .. } => match (src_slot(class, *a), src_slot(class, *b)) {
-            (Some(sa), Some(sb)) => (
-                exec_compare as ExecFn,
-                Payload::Compare {
-                    op: *op,
-                    a: sa,
-                    b: sb,
+        InstKind::LoadAddr { dst, sym, disp } => {
+            let base = addrs.get(sym).ok_or_else(|| {
+                format!("address taken of non-data symbol {}", module.sym_name(*sym))
+            })?;
+            (
+                exec_loadaddr as ExecFn,
+                Payload::LoadAddr {
+                    dst: dst_slot(class, *dst)?,
+                    addr: base + disp,
+                    // unlike Assign, a FIFO or zero destination still
+                    // delays the next instruction that names it
+                    executed_dst: dst.phys_num(),
                 },
-            ),
-            _ => fallback,
-        },
-        InstKind::WLoad { fifo, addr, width } => match decode_expr(class, addr) {
-            Some(e) => (
-                exec_wload as ExecFn,
-                Payload::WLoad {
-                    fifo: *fifo,
-                    addr: e,
-                    width: *width,
-                },
-            ),
-            None => fallback,
-        },
-        InstKind::WStore { unit, addr, width } => match decode_expr(class, addr) {
-            Some(e) => (
-                exec_wstore as ExecFn,
-                Payload::WStore {
-                    unit: *unit,
-                    addr: e,
-                    width: *width,
-                },
-            ),
-            None => fallback,
-        },
-        // stream configuration and anything unexpected run on the
-        // interpreter arm (they execute once per loop, not per element)
-        _ => fallback,
-    }
+            )
+        }
+        InstKind::Compare { op, a, b, .. } => (
+            exec_compare as ExecFn,
+            Payload::Compare {
+                op: *op,
+                a: src_slot(class, *a)?,
+                b: src_slot(class, *b)?,
+            },
+        ),
+        InstKind::WLoad { fifo, addr, width } => (
+            exec_wload as ExecFn,
+            Payload::WLoad {
+                fifo: *fifo,
+                addr: decode_expr(class, addr)?,
+                width: *width,
+            },
+        ),
+        InstKind::WStore { unit, addr, width } => (
+            exec_wstore as ExecFn,
+            Payload::WStore {
+                unit: *unit,
+                addr: decode_expr(class, addr)?,
+                width: *width,
+            },
+        ),
+        // stream, channel and VEU-port configuration execute once per
+        // loop, not per element
+        _ => (exec_fallback as ExecFn, Payload::None),
+    })
 }
 
-/// Resolve one source operand; `None` for forms the interpreter must
-/// handle (cross-class registers).
-fn src_slot(class: RegClass, op: Operand) -> Option<Src> {
+/// Resolve one source operand of a `class` unit instruction.
+fn src_slot(class: RegClass, op: Operand) -> Result<Src, String> {
     match op {
-        Operand::Imm(v) => Some(Src::Imm(v)),
-        Operand::FImm(v) => Some(Src::FImm(v)),
+        Operand::Imm(v) => Ok(Src::Imm(v)),
+        Operand::FImm(v) => Ok(Src::FImm(v)),
         Operand::Reg(r) => {
             if r.class != class {
-                return None;
+                return Err(format!(
+                    "cross-unit register read of {r} on the {class} unit"
+                ));
             }
-            let n = r.phys_num()?;
-            Some(match n {
+            Ok(match phys(r) {
                 31 => Src::Zero,
-                0 | 1 => Src::Fifo(n),
-                _ => Src::Reg(n),
+                n @ (0 | 1) => Src::Fifo(n),
+                n => Src::Reg(n),
             })
         }
     }
 }
 
-/// Resolve a destination register; `None` for cross-class destinations
-/// and for register 1 (whose write is a runtime error the interpreter
-/// reports).
-fn dst_slot(class: RegClass, r: Reg) -> Option<Dst> {
+/// Resolve the destination register of a `class` unit instruction.
+fn dst_slot(class: RegClass, r: Reg) -> Result<Dst, String> {
     if r.class != class {
-        return None;
+        return Err(format!(
+            "cross-unit register write of {r} on the {class} unit"
+        ));
     }
-    match r.phys_num()? {
-        31 => Some(Dst::Zero),
-        0 => Some(Dst::Out),
-        1 => None,
-        n => Some(Dst::Reg(n)),
+    match phys(r) {
+        31 => Ok(Dst::Zero),
+        0 => Ok(Dst::Out),
+        1 => Err("register 1 is read-only FIFO-mapped".into()),
+        n => Ok(Dst::Reg(n)),
     }
+}
+
+/// The physical register number (virtual registers are refused before
+/// decoding).
+fn phys(r: Reg) -> u8 {
+    r.phys_num().expect("physical registers only")
 }
 
 /// Build a binary node, folding immediate-only operands. Integer folds
 /// use `BinOp::fold_int`, which refuses division/remainder by zero — the
 /// runtime divide fault is preserved, not folded away. Float folds apply
-/// the identical `f64` operation the interpreter would.
+/// the identical `f64` operation `eval_bin` would at run time.
 fn fold_bin(op: BinOp, a: Src, b: Src) -> DecExpr {
     if let (Src::Imm(x), Src::Imm(y)) = (a, b) {
         if !op.is_float() {
@@ -520,9 +515,9 @@ fn fold_bin(op: BinOp, a: Src, b: Src) -> DecExpr {
     DecExpr::Bin(op, a, b)
 }
 
-/// Decode an expression; `None` if any operand is undecodable.
-fn decode_expr(class: RegClass, e: &RExpr) -> Option<DecExpr> {
-    Some(match e {
+/// Decode an expression, resolving its operands in evaluation order.
+fn decode_expr(class: RegClass, e: &RExpr) -> Result<DecExpr, String> {
+    Ok(match e {
         RExpr::Op(a) => DecExpr::Op(src_slot(class, *a)?),
         RExpr::Un(op, a) => DecExpr::Un(*op, src_slot(class, *a)?),
         RExpr::Bin(op, a, b) => fold_bin(*op, src_slot(class, *a)?, src_slot(class, *b)?),
@@ -552,8 +547,9 @@ fn decode_expr(class: RegClass, e: &RExpr) -> Option<DecExpr> {
     })
 }
 
-/// Bit `n` set iff `kind` reads physical register `n` of `class` — the
-/// same register set the interpreter's `reads_phys` walks per cycle.
+/// Bit `n` set iff `kind` reads physical register `n` of `class`: the
+/// registers the paired-ALU interlock checks against the previous
+/// instruction's destination.
 pub(crate) fn read_mask(class: RegClass, kind: &InstKind) -> u32 {
     let mut mask = 0u32;
     let mut add = |r: Reg| {
@@ -685,7 +681,7 @@ fn verify_inst(
         return Ok(());
     }
     // Dispatched instructions: class, FIFO demand and interlock mask must
-    // match the interpreter's per-cycle computation ...
+    // match a fresh computation ...
     let class = dispatch_class(kind);
     if d.class != class {
         return Err(format!("class mismatch: {:?} vs {:?}", d.class, class));
@@ -803,8 +799,58 @@ fn verify_inst(
             }
             check_expr(addr, a2)?;
         }
-        (Payload::None, _) => {} // interpreter fallback carries no table state
+        (Payload::None, _) => {} // the fallback carries no table state
         other => return Err(format!("payload does not match instruction: {other:?}")),
     }
     Ok(())
+}
+
+/// Which unit executes a dispatched (non-control) instruction.
+pub(crate) fn dispatch_class(kind: &InstKind) -> RegClass {
+    match kind {
+        InstKind::Assign { dst, .. } => dst.class,
+        InstKind::Compare { class, .. } => *class,
+        // "All simple load and store instructions (for both integer and
+        // floating-point data) are executed by the IEU" — as are the
+        // stream-configuration instructions and address formation.
+        InstKind::LoadAddr { .. }
+        | InstKind::WLoad { .. }
+        | InstKind::WStore { .. }
+        | InstKind::StreamIn { .. }
+        | InstKind::StreamOut { .. }
+        | InstKind::StreamGather { .. }
+        | InstKind::StreamScatter { .. }
+        | InstKind::VStreamIn { .. }
+        | InstKind::VStreamOut { .. }
+        | InstKind::StreamStop { .. }
+        | InstKind::StreamSend { .. }
+        | InstKind::StreamRecv { .. } => RegClass::Int,
+        InstKind::ChanSend { class, .. } => *class,
+        InstKind::ChanRecv { dst, .. } => dst.class,
+        other => unreachable!("not a unit instruction: {other}"),
+    }
+}
+
+/// How many entries `kind` dequeues from each input FIFO of `class`.
+pub(crate) fn fifo_need(class: RegClass, kind: &InstKind) -> [usize; 2] {
+    let mut need = [0usize; 2];
+    let mut count = |r: Reg| {
+        if r.class == class && r.is_fifo() {
+            need[r.phys_num().unwrap() as usize] += 1;
+        }
+    };
+    match kind {
+        InstKind::Assign { src: e, .. }
+        | InstKind::WLoad { addr: e, .. }
+        | InstKind::WStore { addr: e, .. } => e.regs().for_each(&mut count),
+        // operands of Compare may also dequeue
+        InstKind::Compare { a, b, .. } => [a, b]
+            .into_iter()
+            .filter_map(|o| o.reg())
+            .for_each(&mut count),
+        // a scalar channel send may drain a FIFO operand
+        InstKind::ChanSend { src, .. } => src.reg().into_iter().for_each(&mut count),
+        _ => {}
+    }
+    need
 }

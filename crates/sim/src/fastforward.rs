@@ -1,25 +1,26 @@
-//! The event-driven fast-forward engine.
+//! Fast-forward over all-stalled spans.
 //!
-//! PR 3's stall attribution showed that on latency-dominated
-//! configurations (24-cycle memory, single-entry FIFOs) the large
-//! majority of simulated cycles end with *every* unit stalled or idle:
-//! the machine's architectural state does not change at all, yet the
-//! per-cycle stepper still walks every unit, every SCU and the memory
-//! system once per cycle. This module makes those spans O(1): after a
-//! cycle in which no unit made progress, [`WmMachine::step_event`]
-//! computes the **next-event cycle** — the earliest future cycle at which
-//! anything *can* change — and jumps there in one bulk update.
+//! On latency-dominated configurations (24-cycle memory, single-entry
+//! FIFOs) the large majority of simulated cycles end with *every* unit
+//! stalled or idle: the machine's architectural state does not change at
+//! all, yet stepping still walks every unit, every SCU and the memory
+//! system once per cycle. Fast-forward makes those spans O(1): after a
+//! cycle in which no unit made progress, [`WmMachine::step`] computes the
+//! **next-event cycle** — the earliest future cycle at which anything
+//! *can* change — and jumps there in one bulk update.
 //!
 //! The jump is exact, not approximate. A no-progress cycle is only
 //! skippable when its per-unit outcomes are provably constant until the
 //! next event, and the bulk update adds the skipped span to exactly the
-//! same counters the per-cycle stepper would have touched: each unit's
+//! same counters per-cycle stepping would have touched: each unit's
 //! idle/stall bucket, `ifu_stalls`, the FIFO-occupancy histograms at the
 //! (unchanging) current depths, and the zero-requests memory-port bucket.
 //! Every counter in [`crate::Stats`], every cycle count, every fault and
 //! deadlock (down to the reported cycle and machine-state dump) is
-//! **bit-identical** between the two engines; the differential suite in
-//! `tests/engine_equiv.rs` and the fuzzer enforce this.
+//! **bit-identical** with fast-forward on and off
+//! ([`WmConfig::fast_forward`](crate::WmConfig::fast_forward)); the
+//! on/off tests in `tests/engine_equiv.rs`, the simulation golden and the
+//! differential fuzzer enforce this.
 //!
 //! Events that bound a jump:
 //!
@@ -39,64 +40,9 @@
 
 use crate::machine::{WmMachine, DEADLOCK_WINDOW};
 use crate::stats::{Outcome, Stall};
-use crate::SimError;
-
-/// Which stepping engine drives the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Step every unit every cycle (the reference stepper).
-    Cycle,
-    /// Fast-forward over spans where no unit can make progress before the
-    /// next event. Bit-identical counters; the default.
-    #[default]
-    Event,
-    /// Execute the pre-decoded threaded-dispatch tables (see
-    /// [`DecodedProgram`](crate::DecodedProgram)) with the same
-    /// fast-forward tail. Bit-identical to the other engines; the
-    /// fastest.
-    Compiled,
-}
-
-impl Engine {
-    /// Stable machine-readable name (`"cycle"` / `"event"` /
-    /// `"compiled"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Cycle => "cycle",
-            Engine::Event => "event",
-            Engine::Compiled => "compiled",
-        }
-    }
-
-    /// Parse a name as accepted by `wmcc --engine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message for anything but `cycle`, `event` or
-    /// `compiled`.
-    pub fn parse(s: &str) -> Result<Engine, String> {
-        match s {
-            "cycle" => Ok(Engine::Cycle),
-            "event" => Ok(Engine::Event),
-            "compiled" => Ok(Engine::Compiled),
-            other => Err(format!(
-                "unknown engine `{other}` (expected cycle, event or compiled)"
-            )),
-        }
-    }
-
-    /// All engines, for exhaustive differential sweeps.
-    pub const ALL: [Engine; 3] = [Engine::Cycle, Engine::Event, Engine::Compiled];
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// What every unit did during one simulated cycle; captured each step so
-/// the fast-forward engine can bulk-account a span of identical cycles.
+/// fast-forward can bulk-account a span of identical cycles.
 #[derive(Debug, Clone)]
 pub(crate) struct CycleOutcomes {
     pub(crate) ieu: Outcome,
@@ -157,28 +103,10 @@ fn repeats(o: Outcome) -> bool {
 }
 
 impl<'m> WmMachine<'m> {
-    /// Advance one cycle, then fast-forward to just before the next event
-    /// if the cycle ended with no unit able to make progress.
-    ///
-    /// Behaves exactly like running [`WmMachine::step`] in a loop — same
-    /// cycle counts, same counters, same faults — but skips all-stalled
-    /// spans in one bulk update.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`WmMachine::step`] reports, at the same cycle.
-    pub fn step_event(&mut self) -> Result<(), SimError> {
-        self.step()?;
-        self.fast_forward();
-        Ok(())
-    }
-
-    /// The shared fast-forward tail: if the cycle just simulated ended
-    /// with no unit able to make progress, jump to just before the next
-    /// event in one bulk update. Used by both the event engine (after
-    /// [`WmMachine::step`]) and the compiled engine (after its decoded
-    /// step); a no-op when the cycle made progress or an outcome is not
-    /// provably constant.
+    /// If the cycle just simulated ended with no unit able to make
+    /// progress, jump to just before the next event in one bulk update;
+    /// a no-op when the cycle made progress or an outcome is not provably
+    /// constant.
     pub(crate) fn fast_forward(&mut self) {
         if !self.can_fast_forward() {
             return;
@@ -222,8 +150,8 @@ impl<'m> WmMachine<'m> {
 
     /// The last cycle that is provably identical to the one just
     /// simulated: one before the next event, clamped so the deadlock
-    /// detector and the cycle-limit timeout fire at exactly the cycle the
-    /// per-cycle stepper would report. `None` when there is nothing to
+    /// detector and the cycle-limit timeout fire at exactly the cycle
+    /// per-cycle stepping would report. `None` when there is nothing to
     /// skip.
     fn fast_forward_target(&self) -> Option<u64> {
         let mut next = u64::MAX;
@@ -304,7 +232,7 @@ impl<'m> WmMachine<'m> {
             scu.unit.record_n(o.scus[i], n);
         }
         // every IFU stall outcome increments `ifu_stalls` exactly once
-        // per cycle in the per-cycle stepper
+        // per stepped cycle
         if matches!(o.ifu, Outcome::Stall(_)) {
             self.stats.ifu_stalls += n;
         }

@@ -55,7 +55,7 @@ mod tiled;
 pub use cancel::CancelToken;
 pub use config::{FaultPlan, WmConfig};
 pub use decode::DecodedProgram;
-pub use fastforward::{Engine, FfSpan};
+pub use fastforward::FfSpan;
 pub use fault::{
     json_escape, FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState,
 };

@@ -2,23 +2,20 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use wm_ir::{
-    BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, RExpr, Reg, RegClass, SymId, UnOp,
-    Width,
-};
+use wm_ir::{BinOp, DataFifo, GlobalKind, InstKind, Module, Operand, Reg, RegClass, UnOp, Width};
 
 use crate::cancel::CancelToken;
 use crate::config::WmConfig;
 use crate::decode::DecodedProgram;
-use crate::fastforward::{CycleOutcomes, Engine, FfSpan};
+use crate::fastforward::{CycleOutcomes, FfSpan};
 use crate::fault::{FaultInfo, FaultKind, FaultUnit, FifoState, MachineState, ScuState, UnitState};
 use crate::loader::{AccessError, AccessKind, MemoryImage};
 use crate::mem::{Access, MemStats, MemSystem};
 use crate::stats::{DepthSample, Outcome, Stall, Stats, FIFO_NAMES, SBUF_TRACK};
 
-/// Cycles without progress before the run is declared wedged. The
-/// fast-forward engine clamps its jumps to this horizon so both engines
-/// report [`SimError::Deadlock`] at the identical cycle.
+/// Cycles without progress before the run is declared wedged. Fast-
+/// forward clamps its jumps to this horizon so a run reports
+/// [`SimError::Deadlock`] at the identical cycle with it on or off.
 pub(crate) const DEADLOCK_WINDOW: u64 = 10_000;
 
 /// A simulation failure. Terminal errors carry a [`MachineState`]
@@ -199,9 +196,6 @@ pub struct RunResult {
     /// (exact by construction), FIFO occupancy histograms, memory-port
     /// utilization and per-SCU element counts.
     pub perf: Stats,
-    /// The stepping engine that produced this result. Every engine yields
-    /// bit-identical cycles and counters; this records which one ran.
-    pub engine: Engine,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -297,9 +291,8 @@ pub(crate) struct InFifo {
 }
 
 /// A scalar execution unit (IEU/FEU). The instruction queue holds `u32`
-/// indices into the machine's [`DecodedProgram`] table — for every
-/// engine; the interpreters resolve an index back to its [`InstKind`]
-/// through the table, so nothing is cloned at dispatch.
+/// indices into the machine's [`DecodedProgram`] table, so nothing is
+/// cloned at dispatch.
 #[derive(Debug)]
 pub(crate) struct Unit {
     pub(crate) regs: [Val; 32],
@@ -546,7 +539,7 @@ pub struct WmMachine<'m> {
     pub(crate) module: &'m Module,
     /// The module pre-decoded into flat dispatch tables (see
     /// [`crate::decode`]); the unit instruction queues hold indices into
-    /// it, and the compiled engine executes it directly.
+    /// it, and the stepper executes it directly.
     pub(crate) prog: DecodedProgram<'m>,
     pub(crate) config: WmConfig,
     pub(crate) mem: MemoryImage,
@@ -592,12 +585,12 @@ pub struct WmMachine<'m> {
     last_depths: [usize; FIFO_NAMES.len()],
     /// The memory hierarchy (a transparent pass-through under the flat
     /// model). All of its state mutates only on progress cycles, which
-    /// is what lets the fast-forward engine skip stall spans over it.
+    /// is what lets fast-forward skip stall spans over it.
     pub(crate) memsys: MemSystem,
     /// Last recorded stream-buffer occupancy (timeline compression).
     last_sb_occ: usize,
-    /// What every unit did in the cycle just simulated (consulted by the
-    /// fast-forward engine to decide whether the state can repeat).
+    /// What every unit did in the cycle just simulated (consulted by
+    /// fast-forward to decide whether the state can repeat).
     pub(crate) last_outcomes: CycleOutcomes,
     /// Fast-forwarded spans (collected only when tracing/timeline is on;
     /// exported as coalesced stall spans in the Chrome trace).
@@ -618,8 +611,8 @@ pub struct WmMachine<'m> {
     /// stall on zero; scalar `Csend` ignores credits (and can overrun).
     pub(crate) chan_credits: Vec<u32>,
     /// Fast-forward horizon: the tile scheduler bounds event jumps to
-    /// the end of the current epoch. `u64::MAX` (untiled) leaves every
-    /// engine bit-identical to the pre-tiling simulator.
+    /// the end of the current epoch. `u64::MAX` (untiled) leaves the
+    /// stepper bit-identical to the pre-tiling simulator.
     pub(crate) ff_horizon: u64,
 }
 
@@ -650,9 +643,11 @@ impl<'m> WmMachine<'m> {
             }
         }
         let mem = MemoryImage::new(module, config.memory_size)?;
-        // Pre-decode for every engine: the unit queues carry indices into
-        // this table, so even the interpreters dispatch without cloning.
-        let prog = DecodedProgram::decode(module, &mem.addresses);
+        // Pre-decode once: the unit queues carry indices into this table.
+        // Unit instructions the table cannot express (cross-class
+        // operands, writes to read-only r1, the address of a non-data
+        // symbol) are refused here rather than faulting mid-run.
+        let prog = DecodedProgram::decode(module, &mem.addresses).map_err(SimError::BadProgram)?;
         let mut ieu = Unit::new(RegClass::Int);
         ieu.regs[30] = Val::I(mem.initial_sp);
         let memsys = MemSystem::new(&config.mem_model, config.mem_latency);
@@ -763,8 +758,8 @@ impl<'m> WmMachine<'m> {
         &self.prog
     }
 
-    /// The fast-forwarded spans collected so far (empty unless the event
-    /// engine ran with tracing or the timeline enabled). Consumed by the
+    /// The fast-forwarded spans collected so far (empty unless the run
+    /// fast-forwarded with tracing or the timeline enabled). Consumed by the
     /// Chrome trace exporter, which renders each as one coalesced stall
     /// span per unit.
     pub fn ff_spans(&self) -> &[FfSpan] {
@@ -814,10 +809,8 @@ impl<'m> WmMachine<'m> {
         self.cancel = Some(token);
     }
 
-    /// Simulate until the entry function returns, stepping with the
-    /// engine selected by [`WmConfig::engine`].
+    /// Simulate until the entry function returns.
     pub fn run_to_completion(&mut self) -> Result<RunResult, SimError> {
-        let engine = self.config.engine;
         while !self.halted() {
             if let Some(t) = &self.cancel {
                 if t.is_cancelled() {
@@ -827,11 +820,7 @@ impl<'m> WmMachine<'m> {
                     });
                 }
             }
-            match engine {
-                Engine::Cycle => self.step()?,
-                Engine::Event => self.step_event()?,
-                Engine::Compiled => self.step_compiled()?,
-            }
+            self.step()?;
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::Timeout {
                     cycles: self.config.max_cycles,
@@ -855,7 +844,6 @@ impl<'m> WmMachine<'m> {
             output: self.output.clone(),
             stats: self.stats,
             perf: self.perf.clone(),
-            engine,
         })
     }
 
@@ -882,20 +870,15 @@ impl<'m> WmMachine<'m> {
 
     /// Step this tile up to (at most) cycle `target`, returning early if
     /// it halts or faults. The tile scheduler calls this between epoch
-    /// barriers; the fast-forward horizon keeps the event and compiled
-    /// engines from jumping past the epoch's end. Deadlock and timeout
+    /// barriers; the fast-forward horizon keeps a jump from passing the
+    /// epoch's end. Deadlock and timeout
     /// are *global* properties of a tiled machine (a tile stalled on a
     /// channel is not wedged if its peer is still computing), so the
     /// scheduler checks them at the barrier — not here.
     pub(crate) fn run_epoch(&mut self, target: u64) -> Result<(), SimError> {
         self.ff_horizon = target;
-        let engine = self.config.engine;
         while self.cycle < target && !self.halted() {
-            match engine {
-                Engine::Cycle => self.step()?,
-                Engine::Event => self.step_event()?,
-                Engine::Compiled => self.step_compiled()?,
-            }
+            self.step()?;
         }
         Ok(())
     }
@@ -912,7 +895,6 @@ impl<'m> WmMachine<'m> {
             output: self.output.clone(),
             stats: self.stats,
             perf: self.perf.clone(),
-            engine: self.config.engine,
         }
     }
 
@@ -1032,13 +1014,13 @@ impl<'m> WmMachine<'m> {
     /// Why the unit's head instruction cannot retire, if it cannot.
     fn stall_reason(&self, class: RegClass) -> Option<String> {
         let u = self.unit(class);
-        let head = self.prog.insts[*u.iq.front()? as usize].kind;
+        let d = &self.prog.insts[*u.iq.front()? as usize];
+        let head = d.kind;
         if u.busy > 0 {
             return Some(format!("busy for {} more cycle(s)", u.busy));
         }
-        let need = fifo_need(class, head);
-        for (i, &needed) in need.iter().enumerate() {
-            if needed > u.ins[i].q.len() {
+        for (i, &needed) in d.need.iter().enumerate() {
+            if needed as usize > u.ins[i].q.len() {
                 let f = &u.ins[i];
                 let fifo = DataFifo::new(class, i as u8);
                 let why = if let Some(k) = self
@@ -1197,21 +1179,6 @@ impl<'m> WmMachine<'m> {
             AccessKind::ReadOnly => FaultKind::ReadOnly,
         };
         self.fault(unit, kind, Some(e.addr), stream, e.to_string())
-    }
-
-    /// Advance one cycle.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        self.cycle += 1;
-        self.ports_used = 0;
-        self.deliver_memory()?;
-        self.unit_step(RegClass::Int)?;
-        self.unit_step(RegClass::Flt)?;
-        self.veu_step()?;
-        self.drain_stores()?;
-        self.scu_step()?;
-        self.ifu_step()?;
-        self.sample_perf();
-        Ok(())
     }
 
     /// Occupancy of every tracked FIFO, in [`FIFO_NAMES`] order.
@@ -1520,86 +1487,15 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    fn unit_step(&mut self, class: RegClass) -> Result<(), SimError> {
-        let outcome = self.unit_step_inner(class)?;
-        match class {
-            RegClass::Int => {
-                self.perf.ieu.record(outcome);
-                self.last_outcomes.ieu = outcome;
-            }
-            RegClass::Flt => {
-                self.perf.feu.record(outcome);
-                self.last_outcomes.feu = outcome;
-            }
-        }
-        Ok(())
-    }
-
-    fn unit_step_inner(&mut self, class: RegClass) -> Result<Outcome, SimError> {
-        if self.unit(class).busy > 0 {
-            self.unit_mut(class).busy -= 1;
-            return Ok(Outcome::Active);
-        }
-        // The queue holds indices into the decoded table; the kind lives
-        // in the module (`&'m`), so peeking borrows nothing from `self`
-        // and stall cycles (interlock, FIFO-empty) never clone.
-        let head: &'m InstKind = {
-            let u = self.unit(class);
-            let Some(&idx) = u.iq.front() else {
-                return Ok(Outcome::Idle);
-            };
-            let head = self.prog.insts[idx as usize].kind;
-            // paired-ALU dependency interlock: the previous instruction's
-            // result is not available to the immediately following
-            // instruction
-            if let Some(prev) = u.prev_dst {
-                if u.prev_cycle + 1 == self.cycle && reads_phys(head, class, prev) {
-                    return Ok(Outcome::Stall(Stall::Interlock)); // one-cycle bubble
-                }
-            }
-            head
-        };
-        // FIFO data availability for every dequeue in the instruction
-        if !self.fifo_ready(class, head) {
-            return Ok(Outcome::Stall(Stall::FifoEmpty));
-        }
-        let executed_dst = match self.exec_unit_head(class, head) {
-            Ok(Exec::Retired(dst)) => dst,
-            Ok(Exec::Stall(s)) => return Ok(Outcome::Stall(s)), // retry next cycle
-            Err(e) => return Err(attach_inst(e, head)),
-        };
-        self.record(
-            match class {
-                RegClass::Int => "IEU",
-                RegClass::Flt => "FEU",
-            },
-            head,
-        );
-        let now = self.cycle;
-        let u = self.unit_mut(class);
-        u.iq.pop_front();
-        u.prev_dst = executed_dst;
-        u.prev_cycle = now;
-        match class {
-            RegClass::Int => {
-                self.stats.insts_ieu += 1;
-                self.perf.ieu.retired += 1;
-            }
-            RegClass::Flt => {
-                self.stats.insts_feu += 1;
-                self.perf.feu.retired += 1;
-            }
-        }
-        self.last_progress = self.cycle;
-        Ok(Outcome::Active)
-    }
-
-    /// Execute the unit's head instruction if it can issue this cycle.
+    /// Execute a unit instruction the decode tables carry no payload for:
+    /// stream and channel configuration, scalar channel transfers, and
+    /// the VEU's stream ports. Reached through the decoded fallback
+    /// handler; these run once per loop, not per element.
     ///
-    /// [`Exec::Stall`] is a structural stall (full queue, busy port, memory
-    /// ordering) with its attributed reason; [`Exec::Retired`] means the
-    /// instruction retired, carrying the register the paired-ALU interlock
-    /// must delay.
+    /// [`Exec::Stall`] is a structural stall (no free SCU, empty channel)
+    /// with its attributed reason; [`Exec::Retired`] means the
+    /// instruction retired, carrying the register the paired-ALU
+    /// interlock must delay.
     pub(crate) fn exec_unit_head(
         &mut self,
         class: RegClass,
@@ -1607,136 +1503,6 @@ impl<'m> WmMachine<'m> {
     ) -> Result<Exec, SimError> {
         let mut executed_dst: Option<u8> = None;
         match head {
-            InstKind::Assign { dst, src } => {
-                if dst.phys_num() == Some(0)
-                    && self.unit(class).out.len() >= self.config.fifo_capacity
-                {
-                    return Ok(Exec::Stall(Stall::OutFull)); // output FIFO full
-                }
-                let v = self.eval_expr(class, src)?;
-                self.write_reg(class, *dst, v)?;
-                if !dst.is_fifo() && !dst.is_zero() {
-                    executed_dst = dst.phys_num();
-                }
-            }
-            InstKind::LoadAddr { dst, sym, disp } => {
-                let addr = self.sym_addr(*sym)? + disp;
-                self.write_reg(class, *dst, Val::I(addr))?;
-                executed_dst = dst.phys_num();
-                // the llh/sll pair is two 32-bit instructions
-                self.unit_mut(class).busy = 1;
-            }
-            InstKind::Compare { op, a, b, .. } => {
-                if self.unit(class).cc.len() >= self.config.cc_capacity {
-                    return Ok(Exec::Stall(Stall::CcFull));
-                }
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                let r = match class {
-                    RegClass::Int => op.eval_int(va.as_i(), vb.as_i()),
-                    RegClass::Flt => op.eval_flt(va.as_f(), vb.as_f()),
-                };
-                self.unit_mut(class).cc.push_back(r);
-            }
-            InstKind::WLoad { fifo, addr, width } => {
-                if !self.ports_free() {
-                    return Ok(Exec::Stall(Stall::PortBusy));
-                }
-                {
-                    let tf = &self.unit(fifo.class).ins[fifo.index as usize];
-                    // A scalar load must not interleave its datum with an
-                    // active stream's: stall until the stream's last
-                    // request has been issued (the hardware interlock).
-                    if tf.streamed {
-                        return Ok(Exec::Stall(Stall::ScuBusy));
-                    }
-                    if tf.q.len() + tf.pending >= self.config.fifo_capacity {
-                        return Ok(Exec::Stall(Stall::FifoFull));
-                    }
-                }
-                let a = if let Some(a) = self.unit(class).latched_load {
-                    // Retry of a refused indirect load: the index was
-                    // dequeued when the address was first computed. Only
-                    // the ordering check re-runs (the other unit may have
-                    // queued a conflicting store while we were latched).
-                    if self.conflicts_with_pending_writes(a, *width)
-                        || self.conflicts_with_out_streams(a, *width)
-                    {
-                        return Ok(Exec::Stall(Stall::MemOrder));
-                    }
-                    a
-                } else {
-                    match self.eval_expr_pure(class, addr) {
-                        Some(a)
-                            if self.conflicts_with_pending_writes(a, *width)
-                                || self.conflicts_with_out_streams(a, *width) =>
-                        {
-                            // wait for the conflicting store
-                            return Ok(Exec::Stall(Stall::MemOrder));
-                        }
-                        None if !self.store_q.is_empty() || self.writes_in_flight > 0 => {
-                            // unanalyzable address: drain stores first
-                            return Ok(Exec::Stall(Stall::MemOrder));
-                        }
-                        _ => {}
-                    }
-                    let a = self.eval_expr(class, addr)?.as_i();
-                    // scalar loads fault eagerly, with precise attribution
-                    if let Err(e) = self.mem.check(a, width.bytes(), false) {
-                        return Err(self.access_fault(FaultUnit::Ieu, None, &e));
-                    }
-                    a
-                };
-                // the memory hierarchy may refuse the reference (MSHRs
-                // exhausted, target DRAM bank busy): retry next cycle
-                let acc = Access::scalar(a, false);
-                if let Err(refusal) = self.memsys.accepts(&acc, self.cycle) {
-                    // If the address expression consumed a FIFO operand,
-                    // hold the computed address in the unit's latch so the
-                    // retry does not re-dequeue. The dequeue is a state
-                    // flip on a stall cycle, so pin progress (fast-forward
-                    // soundness rule).
-                    if addr.regs().any(|r| r.is_fifo()) {
-                        self.unit_mut(class).latched_load = Some(a);
-                        self.last_progress = self.cycle;
-                    }
-                    return Ok(Exec::Stall(refusal.stall()));
-                }
-                self.unit_mut(class).latched_load = None;
-                let gen = self.unit(fifo.class).ins[fifo.index as usize].gen;
-                {
-                    let f = &mut self.unit_mut(fifo.class).ins[fifo.index as usize];
-                    f.pending += 1;
-                    f.owed += 1;
-                }
-                self.issue_mem(
-                    MemOp::ReadFifo {
-                        target: StreamTarget::Fifo(*fifo),
-                        addr: a,
-                        width: *width,
-                        gen,
-                        poison: None,
-                    },
-                    &acc,
-                );
-                self.stats.mem_reads += 1;
-            }
-            InstKind::WStore { unit, addr, width } => {
-                if self.store_q.len() >= self.config.store_queue {
-                    return Ok(Exec::Stall(Stall::StoreQFull));
-                }
-                let a = self.eval_expr(class, addr)?.as_i();
-                // stores fault at issue time, before entering the store
-                // queue, so the report names the faulting instruction
-                if let Err(e) = self.mem.check(a, width.bytes(), true) {
-                    return Err(self.access_fault(FaultUnit::Ieu, None, &e));
-                }
-                self.store_q.push_back(PendingStore {
-                    addr: a,
-                    width: *width,
-                    class: *unit,
-                });
-            }
             InstKind::StreamIn {
                 fifo,
                 base,
@@ -1964,19 +1730,6 @@ impl<'m> WmMachine<'m> {
             }
         }
         Ok(Exec::Retired(executed_dst))
-    }
-
-    /// Do the FIFO reads of `kind` have data available?
-    pub(crate) fn fifo_ready(&self, class: RegClass, kind: &InstKind) -> bool {
-        let u = self.unit(class);
-        // A latched load already performed its dequeues when the address
-        // was computed; its retry must not wait on the (possibly empty)
-        // FIFO it consumed from.
-        if u.latched_load.is_some() {
-            return true;
-        }
-        let need = fifo_need(class, kind);
-        need[0] <= u.ins[0].q.len() && need[1] <= u.ins[1].q.len()
     }
 
     /// First SCU slot that is both inactive and past any squash recovery.
@@ -2953,15 +2706,6 @@ impl<'m> WmMachine<'m> {
 
     // ---- operand evaluation ----
 
-    pub(crate) fn sym_addr(&self, sym: SymId) -> Result<i64, SimError> {
-        self.mem.addresses.get(&sym).copied().ok_or_else(|| {
-            SimError::BadProgram(format!(
-                "address taken of non-data symbol {}",
-                self.module.sym_name(sym)
-            ))
-        })
-    }
-
     pub(crate) fn read_operand(&mut self, class: RegClass, op: Operand) -> Result<Val, SimError> {
         match op {
             Operand::Imm(v) => Ok(Val::I(v)),
@@ -3046,71 +2790,6 @@ impl<'m> WmMachine<'m> {
         }
     }
 
-    /// Evaluate an expression without side effects; `None` if it reads a
-    /// FIFO (whose dequeue cannot be previewed).
-    fn eval_expr_pure(&self, class: RegClass, e: &RExpr) -> Option<i64> {
-        if e.regs().any(|r| r.is_fifo()) {
-            return None;
-        }
-        let read = |op: Operand| -> Option<i64> {
-            match op {
-                Operand::Imm(v) => Some(v),
-                Operand::FImm(_) => None,
-                Operand::Reg(r) => {
-                    if r.class != class {
-                        return None;
-                    }
-                    let n = r.phys_num()? as usize;
-                    if n == 31 {
-                        Some(0)
-                    } else {
-                        Some(self.unit(class).regs[n].as_i())
-                    }
-                }
-            }
-        };
-        match e {
-            RExpr::Op(a) => read(*a),
-            RExpr::Un(..) => None,
-            RExpr::Bin(op, a, b) => op.fold_int(read(*a)?, read(*b)?),
-            RExpr::Dual {
-                inner,
-                a,
-                b,
-                outer,
-                c,
-            } => outer.fold_int(inner.fold_int(read(*a)?, read(*b)?)?, read(*c)?),
-        }
-    }
-
-    fn eval_expr(&mut self, class: RegClass, e: &RExpr) -> Result<Val, SimError> {
-        match e {
-            RExpr::Op(a) => self.read_operand(class, *a),
-            RExpr::Un(op, a) => {
-                let v = self.read_operand(class, *a)?;
-                self.eval_un(*op, v)
-            }
-            RExpr::Bin(op, a, b) => {
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                self.eval_bin(class, *op, va, vb)
-            }
-            RExpr::Dual {
-                inner,
-                a,
-                b,
-                outer,
-                c,
-            } => {
-                let va = self.read_operand(class, *a)?;
-                let vb = self.read_operand(class, *b)?;
-                let vab = self.eval_bin(class, *inner, va, vb)?;
-                let vc = self.read_operand(class, *c)?;
-                self.eval_bin(class, *outer, vab, vc)
-            }
-        }
-    }
-
     pub(crate) fn eval_un(&self, op: UnOp, v: Val) -> Result<Val, SimError> {
         Ok(match op {
             UnOp::Neg => Val::I(v.as_i().wrapping_neg()),
@@ -3155,275 +2834,6 @@ impl<'m> WmMachine<'m> {
         Ok(Val::I(op.fold_int(x, y).expect("integer operator")))
     }
 
-    // ---- instruction fetch unit ----
-
-    /// Fetch and dispatch. Control transfers are free (bounded per cycle);
-    /// one instruction is dispatched to a unit queue per cycle.
-    fn ifu_step(&mut self) -> Result<(), SimError> {
-        let before = self.stats.insts_ifu;
-        let outcome = self.ifu_step_inner()?;
-        // control instructions the IFU itself executed this cycle
-        self.perf.ifu.retired += self.stats.insts_ifu - before;
-        self.perf.ifu.record(outcome);
-        self.last_outcomes.ifu = outcome;
-        Ok(())
-    }
-
-    /// One IFU cycle, attributing it: a cycle that performed any transfer,
-    /// dispatch or IFU-executed instruction is active; otherwise the
-    /// reason the fetch could not proceed is named.
-    fn ifu_step_inner(&mut self) -> Result<Outcome, SimError> {
-        if self.cycle < self.ifu_hold {
-            self.stats.ifu_stalls += 1;
-            return Ok(Outcome::Stall(Stall::Sync));
-        }
-        let module = self.module;
-        let mut transfers = 0;
-        // a stall after free transfers still did useful work this cycle
-        let stall_after = |transfers: i32, s: Stall| {
-            if transfers > 0 {
-                Outcome::Active
-            } else {
-                Outcome::Stall(s)
-            }
-        };
-        loop {
-            let Some(pc) = self.pc else {
-                return Ok(if transfers > 0 {
-                    Outcome::Active
-                } else {
-                    Outcome::Idle
-                });
-            };
-            let func = &module.functions[pc.func];
-            if pc.block >= func.blocks.len() {
-                return Err(SimError::BadProgram(format!(
-                    "control fell off the end of function {}",
-                    func.name
-                )));
-            }
-            let block = &func.blocks[pc.block];
-            if pc.inst >= block.insts.len() {
-                // implicit fallthrough to the next block in layout order
-                self.pc = Some(Pc {
-                    func: pc.func,
-                    block: pc.block + 1,
-                    inst: 0,
-                });
-                continue;
-            }
-            // `self.module` outlives `self`, so the head can be inspected
-            // by reference; only the dispatch arms clone (the clone used
-            // to happen every fetch attempt, including every stall).
-            let kind: &'m InstKind = &block.insts[pc.inst].kind;
-            let label_of = |l: wm_ir::Label| -> usize { func.block_index(l) };
-            match kind {
-                InstKind::Nop => {
-                    self.advance();
-                }
-                InstKind::Jump { target } => {
-                    let target = *target;
-                    self.record("IFU", &InstKind::Jump { target });
-                    let b = label_of(target);
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active); // runaway control; consume the cycle
-                    }
-                }
-                InstKind::Branch {
-                    class,
-                    when,
-                    target,
-                    els,
-                } => {
-                    let Some(cond) = self.unit_mut(*class).cc.pop_front() else {
-                        self.stats.ifu_stalls += 1;
-                        // stall until the compare executes
-                        return Ok(stall_after(transfers, Stall::CcEmpty));
-                    };
-                    let b = label_of(if cond == *when { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::BranchStream { fifo, target, els } => {
-                    let Some(count) = self.dispatch.get_mut(fifo) else {
-                        // the stream instruction has not executed yet
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::StreamWait));
-                    };
-                    *count -= 1;
-                    let taken = *count > 0;
-                    if !taken {
-                        self.dispatch.remove(fifo);
-                    }
-                    let b = label_of(if taken { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::Call { callee, .. } => {
-                    let callee = *callee;
-                    match &self.module.global(callee).kind {
-                        GlobalKind::Func(fi) => {
-                            let fi = *fi;
-                            self.ret_stack.push(Pc {
-                                func: pc.func,
-                                block: pc.block,
-                                inst: pc.inst + 1,
-                            });
-                            self.pc = Some(Pc {
-                                func: fi,
-                                block: 0,
-                                inst: 0,
-                            });
-                            self.stats.insts_ifu += 1;
-                            self.stats.calls += 1;
-                            self.last_progress = self.cycle;
-                            return Ok(Outcome::Active); // calls consume the fetch slot
-                        }
-                        GlobalKind::Builtin => {
-                            // builtins read register state directly: the
-                            // units must be synchronized first
-                            if !self.quiescent() {
-                                self.stats.ifu_stalls += 1;
-                                return Ok(stall_after(transfers, Stall::Sync));
-                            }
-                            let name = self.module.sym_name(callee).to_string();
-                            self.exec_builtin(&name)?;
-                            self.ifu_hold = self.cycle + self.config.io_latency;
-                            self.advance();
-                            self.stats.insts_ifu += 1;
-                            self.stats.calls += 1;
-                            self.last_progress = self.cycle;
-                            return Ok(Outcome::Active);
-                        }
-                        GlobalKind::Data { .. } => {
-                            return Err(SimError::BadProgram(format!(
-                                "call to data symbol {}",
-                                self.module.sym_name(callee)
-                            )))
-                        }
-                    }
-                }
-                InstKind::Ret => {
-                    self.pc = self.ret_stack.pop();
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                // cross-unit conversions are executed by the IFU after
-                // synchronizing the execution units
-                InstKind::Assign {
-                    dst,
-                    src: RExpr::Un(op @ (UnOp::IntToFlt | UnOp::FltToInt), a),
-                } => {
-                    if !self.quiescent() {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::Sync));
-                    }
-                    let (op, a, dst) = (*op, *a, *dst);
-                    let src_class = if op == UnOp::IntToFlt {
-                        RegClass::Int
-                    } else {
-                        RegClass::Flt
-                    };
-                    // a forwarded FIFO dequeue must wait for its datum
-                    if let Operand::Reg(r) = a {
-                        if r.is_fifo()
-                            && self.unit(src_class).ins[r.phys_num().unwrap() as usize]
-                                .q
-                                .is_empty()
-                        {
-                            self.stats.ifu_stalls += 1;
-                            return Ok(stall_after(transfers, Stall::FifoEmpty));
-                        }
-                    }
-                    let v = self.read_operand(src_class, a)?;
-                    let v = self.eval_un(op, v)?;
-                    self.write_reg(dst.class, dst, v)?;
-                    self.advance();
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                InstKind::BranchVec { target, els } => {
-                    let Some(count) = self.dispatch_vec.as_mut() else {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::StreamWait));
-                    };
-                    *count -= 1;
-                    let taken = *count > 0;
-                    if !taken {
-                        self.dispatch_vec = None;
-                    }
-                    let b = label_of(if taken { *target } else { *els });
-                    self.pc = Some(Pc {
-                        func: pc.func,
-                        block: b,
-                        inst: 0,
-                    });
-                    self.stats.insts_ifu += 1;
-                    self.last_progress = self.cycle;
-                    transfers += 1;
-                    if transfers > 16 {
-                        return Ok(Outcome::Active);
-                    }
-                }
-                InstKind::VLoad { .. }
-                | InstKind::VStore { .. }
-                | InstKind::VecBin { .. }
-                | InstKind::VecBroadcast { .. } => {
-                    if self.veu.iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::IqFull));
-                    }
-                    let idx = self.prog.index_of(pc.func, pc.block, pc.inst);
-                    self.veu.iq.push_back(idx);
-                    self.advance();
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-                // everything else is dispatched to an execution unit
-                other => {
-                    let class = dispatch_class(other);
-                    if self.unit(class).iq.len() >= self.config.iq_capacity {
-                        self.stats.ifu_stalls += 1;
-                        return Ok(stall_after(transfers, Stall::IqFull));
-                    }
-                    let idx = self.prog.index_of(pc.func, pc.block, pc.inst);
-                    self.unit_mut(class).iq.push_back(idx);
-                    self.advance();
-                    self.last_progress = self.cycle;
-                    return Ok(Outcome::Active);
-                }
-            }
-        }
-    }
-
     pub(crate) fn advance(&mut self) {
         if let Some(pc) = self.pc.as_mut() {
             pc.inst += 1;
@@ -3450,61 +2860,6 @@ impl<'m> WmMachine<'m> {
     }
 }
 
-/// How many entries `kind` dequeues from each input FIFO of `class`.
-/// Does `kind` read physical register `phys` of `class`?
-///
-/// Allocation-free equivalent of `kind.uses().contains(..)` for the
-/// per-cycle interlock check: the common instruction kinds are matched
-/// directly so no `Vec` of registers is built on the hot path.
-fn reads_phys(kind: &InstKind, class: RegClass, phys: u8) -> bool {
-    let hit = |r: Reg| r.class == class && r.phys_num() == Some(phys);
-    match kind {
-        InstKind::Assign { src, .. } => src.regs().any(hit),
-        InstKind::Compare { a, b, .. } => a.reg().is_some_and(hit) || b.reg().is_some_and(hit),
-        InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => addr.regs().any(hit),
-        other => other.uses().into_iter().any(hit),
-    }
-}
-
-pub(crate) fn fifo_need(class: RegClass, kind: &InstKind) -> [usize; 2] {
-    let mut need = [0usize; 2];
-    // This runs for every queued instruction every cycle: keep it
-    // allocation-free (a `Vec` of expressions here shows up in profiles).
-    let expr: Option<&RExpr> = match kind {
-        InstKind::Assign { src, .. } => Some(src),
-        InstKind::WLoad { addr, .. } | InstKind::WStore { addr, .. } => Some(addr),
-        _ => None,
-    };
-    if let Some(e) = expr {
-        for r in e.regs() {
-            if r.class == class && r.is_fifo() {
-                need[r.phys_num().unwrap() as usize] += 1;
-            }
-        }
-    }
-    // operands of Compare may also dequeue
-    if let InstKind::Compare { a, b, .. } = kind {
-        for op in [a, b] {
-            if let Operand::Reg(r) = op {
-                if r.class == class && r.is_fifo() {
-                    need[r.phys_num().unwrap() as usize] += 1;
-                }
-            }
-        }
-    }
-    // a scalar channel send may drain a FIFO operand
-    if let InstKind::ChanSend {
-        src: Operand::Reg(r),
-        ..
-    } = kind
-    {
-        if r.class == class && r.is_fifo() {
-            need[r.phys_num().unwrap() as usize] += 1;
-        }
-    }
-    need
-}
-
 /// Fill in the faulting instruction's listing text when the fault lacks it.
 pub(crate) fn attach_inst(mut e: SimError, head: &InstKind) -> SimError {
     if let SimError::Fault { fault, .. } = &mut e {
@@ -3526,30 +2881,4 @@ fn jitter(seed: u64, n: u64) -> u64 {
     x ^= x << 25;
     x ^= x >> 27;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Which unit executes a dispatched (non-control) instruction.
-pub(crate) fn dispatch_class(kind: &InstKind) -> RegClass {
-    match kind {
-        InstKind::Assign { dst, .. } => dst.class,
-        InstKind::Compare { class, .. } => *class,
-        // "All simple load and store instructions (for both integer and
-        // floating-point data) are executed by the IEU" — as are the
-        // stream-configuration instructions and address formation.
-        InstKind::LoadAddr { .. }
-        | InstKind::WLoad { .. }
-        | InstKind::WStore { .. }
-        | InstKind::StreamIn { .. }
-        | InstKind::StreamOut { .. }
-        | InstKind::StreamGather { .. }
-        | InstKind::StreamScatter { .. }
-        | InstKind::VStreamIn { .. }
-        | InstKind::VStreamOut { .. }
-        | InstKind::StreamStop { .. }
-        | InstKind::StreamSend { .. }
-        | InstKind::StreamRecv { .. } => RegClass::Int,
-        InstKind::ChanSend { class, .. } => *class,
-        InstKind::ChanRecv { dst, .. } => dst.class,
-        other => unreachable!("not a unit instruction: {other}"),
-    }
 }

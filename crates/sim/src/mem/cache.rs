@@ -24,8 +24,8 @@ pub(crate) struct L1 {
     line_bytes: i64,
     /// `sets * assoc` entries, set-major.
     lines: Vec<Line>,
-    /// Monotonic touch counter driving LRU (deterministic, so both
-    /// stepping engines see identical replacement decisions).
+    /// Monotonic touch counter driving LRU (deterministic, so runs with
+    /// fast-forward on and off see identical replacement decisions).
     tick: u64,
 }
 

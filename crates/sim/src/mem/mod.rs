@@ -25,14 +25,14 @@
 //! to uphold: results can never depend on the memory model, only cycle
 //! counts can (the differential fuzzer enforces this).
 //!
-//! Two-phase interface, required for engine equivalence:
+//! Two-phase interface, required for exact fast-forward:
 //!
 //! * [`MemSystem::accepts`] is **pure** — it is consulted on stall cycles
-//!   (which the fast-forward engine may bulk-skip) and must not mutate
+//!   (which fast-forward may bulk-skip) and must not mutate
 //!   any state or counter.
 //! * [`MemSystem::access`] mutates tags, buffers, banks and
 //!   [`MemStats`], and is only called on the cycle a request actually
-//!   issues (a progress cycle, which the fast-forward engine never
+//!   issues (a progress cycle, which fast-forward never
 //!   skips).
 
 mod cache;
@@ -332,7 +332,7 @@ impl MemStats {
     }
 
     /// Record `n` consecutive cycles at aggregate stream-buffer occupancy
-    /// `occ` (bulk form used by the fast-forward engine; occupancy cannot
+    /// `occ` (bulk form used by fast-forward; occupancy cannot
     /// change during a no-progress span).
     pub fn sample_occupancy_n(&mut self, occ: usize, n: u64) {
         let i = occ.min(self.sb_occupancy.len() - 1);
@@ -450,8 +450,8 @@ pub(crate) struct Issued {
 ///
 /// Purely a *timing* model: see the module docs. All mutation happens in
 /// [`MemSystem::access`] and [`MemSystem::release_mshr`], which the
-/// machine only calls on progress cycles — the property the event-driven
-/// fast-forward engine relies on.
+/// machine only calls on progress cycles — the property fast-forward
+/// relies on.
 pub(crate) struct MemSystem {
     flat_latency: u64,
     hier: Option<Hier>,
@@ -622,8 +622,8 @@ impl MemSystem {
 
     /// The earliest future cycle at which the hierarchy itself can change
     /// an `accepts` verdict: the next bank becoming free. (MSHR releases
-    /// are tied to response delivery, which the fast-forward engine
-    /// already treats as an event via the in-flight queue.)
+    /// are tied to response delivery, which fast-forward already treats
+    /// as an event via the in-flight queue.)
     pub fn next_event(&self, now: u64) -> Option<u64> {
         self.hier
             .as_ref()

@@ -169,7 +169,7 @@ impl UnitCounters {
     }
 
     /// Record `n` consecutive cycles with the same outcome (the
-    /// fast-forward engine's bulk accounting of a skipped stall span).
+    /// bulk accounting of a fast-forwarded stall span).
     pub fn record_n(&mut self, outcome: Outcome, n: u64) {
         match outcome {
             Outcome::Active => self.active += n,

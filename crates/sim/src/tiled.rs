@@ -8,8 +8,8 @@
 //! judge global halt, deadlock and timeout. Within an epoch a tile's
 //! execution is a pure function of its own state plus the inbox frozen
 //! at the epoch's start, so cycle counts, stall attribution and every
-//! perf counter are **bit-identical for any host thread count** (and for
-//! all three stepping engines, which are bit-identical per tile).
+//! perf counter are **bit-identical for any host thread count** (and
+//! with fast-forward on or off, which is bit-identical per tile).
 //!
 //! Messages routed at the barrier ending epoch `e` become visible to
 //! their receiver at `barrier + chan_latency` — the epoch length bounds
@@ -33,7 +33,7 @@ use crate::machine::{Poison, RunResult, RxEntry, SimError, WmMachine, DEADLOCK_W
 #[derive(Debug, Clone)]
 pub struct TiledRunResult {
     /// Per-tile results, indexed by tile id. Counters are exact and
-    /// bit-identical across engines and host thread counts.
+    /// bit-identical across host thread counts.
     pub tiles: Vec<RunResult>,
     /// Global cycle count: the slowest tile's halt cycle.
     pub cycles: u64,

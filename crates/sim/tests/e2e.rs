@@ -1,7 +1,7 @@
 //! End-to-end tests: compile mini-C through the full WM pipeline and
 //! execute on the cycle-level simulator.
 
-use wm_ir::Module;
+use wm_ir::{BinOp, FuncBuilder, InstKind, Module, Operand, RExpr, Reg};
 use wm_opt::{optimize_generic, optimize_wm, OptOptions};
 use wm_sim::{SimError, WmConfig, WmMachine};
 use wm_target::{allocate_registers, expand_wm, TargetKind};
@@ -373,4 +373,57 @@ fn consecutive_vector_loops_do_not_confuse_the_counter() {
     ";
     let r = run(SRC, "main", &[], &OptOptions::all().with_vectorization());
     assert_eq!(r.ret_int, 2000 * 9);
+}
+
+/// Unit instructions the decode tables cannot express are refused when
+/// the machine is built, with the reason, rather than faulting mid-run:
+/// a register of the other unit's class, a write to the read-only FIFO
+/// register 1, and the address of a non-data symbol.
+#[test]
+fn malformed_unit_instructions_are_refused_at_load() {
+    let module_with = |emit: &dyn Fn(&mut FuncBuilder, &Module)| {
+        let mut m = Module::new();
+        let mut helper = FuncBuilder::new("helper", 0, 0);
+        helper.emit(InstKind::Ret);
+        m.add_function(helper.finish());
+        let mut b = FuncBuilder::new("main", 0, 0);
+        emit(&mut b, &m);
+        b.emit(InstKind::Ret);
+        m.add_function(b.finish());
+        m
+    };
+    let cases: [(&str, Module); 3] = [
+        (
+            "cross-unit register read of f3 on the int unit",
+            module_with(&|b, _| {
+                b.assign(
+                    Reg::int(5),
+                    RExpr::Bin(BinOp::Add, Reg::flt(3).into(), Operand::Imm(1)),
+                );
+            }),
+        ),
+        (
+            "register 1 is read-only FIFO-mapped",
+            module_with(&|b, _| {
+                b.copy(Reg::int(1), Operand::Imm(7));
+            }),
+        ),
+        (
+            "address taken of non-data symbol helper",
+            module_with(&|b, m| {
+                b.emit(InstKind::LoadAddr {
+                    dst: Reg::int(3),
+                    sym: m.lookup("helper").expect("helper defined"),
+                    disp: 0,
+                });
+            }),
+        ),
+    ];
+    for (want, module) in &cases {
+        match WmMachine::new(module, &WmConfig::default()) {
+            Err(SimError::BadProgram(msg)) => assert_eq!(&msg, want),
+            Err(e) => panic!("expected BadProgram({want}), got {e}"),
+            Ok(_) => panic!("expected BadProgram({want}), but the module loaded"),
+        }
+    }
 }

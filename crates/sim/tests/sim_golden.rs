@@ -22,16 +22,25 @@ use std::sync::Mutex;
 use common::*;
 use wm_ir::Module;
 use wm_opt::OptOptions;
-use wm_sim::{Engine, MemModel, TiledMachine, WmConfig, WmMachine};
+use wm_sim::{MemModel, TiledMachine, WmConfig, WmMachine};
 use wm_workloads::Workload;
 
 const GOLDEN: &str = "tests/sim_golden.txt";
 
-/// The stepping modes a line is produced under; all must agree.
+/// The stepping modes a line is produced under — fast-forward on and
+/// off; both must agree.
 fn modes(cfg: &WmConfig) -> Vec<(String, WmConfig)> {
-    Engine::ALL
-        .iter()
-        .map(|&e| (e.to_string(), cfg.clone().with_engine(e)))
+    [true, false]
+        .into_iter()
+        .map(|fast_forward| {
+            (
+                format!("fast_forward={fast_forward}"),
+                WmConfig {
+                    fast_forward,
+                    ..cfg.clone()
+                },
+            )
+        })
         .collect()
 }
 
@@ -90,7 +99,7 @@ fn group(
     }
 }
 
-/// The degraded-hardware matrix of `engine_equiv.rs` and its fault,
+/// The degraded-hardware matrix of `fast_forward.rs` and its fault,
 /// deadlock, timeout and memory-hierarchy cases.
 fn equiv_groups() -> Vec<Group> {
     let mut v = Vec::new();

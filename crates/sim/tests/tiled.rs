@@ -1,51 +1,18 @@
 //! Tiled-machine behavior: inter-core channels, epoch determinism,
-//! engine equivalence across tile counts, host-thread invariance, and
-//! the channel fault model (overrun poison, killed-sender deadlock).
+//! fast-forward exactness across tile counts, host-thread invariance,
+//! and the channel fault model (overrun poison, killed-sender deadlock).
 
+mod common;
+
+use common::{compile_partitioned, module_of, ping_module, workload_source};
 use proptest::prelude::*;
-use wm_ir::{
-    BinOp, DataFifo, FuncBuilder, Function, InstKind, Module, Operand, RExpr, Reg, RegClass, Width,
-};
-use wm_opt::OptOptions;
+use wm_ir::{BinOp, DataFifo, FuncBuilder, InstKind, Module, Operand, RExpr, Reg, RegClass, Width};
 use wm_sim::{
-    Engine, FaultKind, FaultPlan, MemModel, SimError, TiledMachine, TiledRunResult, WmConfig,
-    WmMachine,
+    FaultKind, FaultPlan, MemModel, SimError, TiledMachine, TiledRunResult, WmConfig, WmMachine,
 };
-
-fn module_of(funcs: Vec<Function>) -> Module {
-    let mut m = Module::new();
-    for f in funcs {
-        m.add_function(f);
-    }
-    m
-}
 
 fn run_tiled(m: &Module, cfg: &WmConfig, threads: usize) -> Result<TiledRunResult, SimError> {
     TiledMachine::run(m, "main", &[], cfg, threads)
-}
-
-/// Tile 1 computes a value and sends it over the scalar channel; tile 0
-/// receives it and returns it.
-fn ping_module() -> Module {
-    let mut t0 = FuncBuilder::new("main", 0, 0);
-    t0.emit(InstKind::ChanRecv {
-        peer: 1,
-        dst: Reg::int(2),
-    });
-    t0.emit(InstKind::Ret);
-
-    let mut t1 = FuncBuilder::new("__tile1_main", 0, 0);
-    let a = Reg::int(4);
-    t1.copy(a, Operand::Imm(40));
-    t1.assign(a, RExpr::Bin(BinOp::Add, a.into(), Operand::Imm(2)));
-    t1.emit(InstKind::ChanSend {
-        peer: 0,
-        src: a.into(),
-        class: RegClass::Int,
-    });
-    t1.emit(InstKind::Ret);
-
-    module_of(vec![t0.finish(), t1.finish()])
 }
 
 #[test]
@@ -60,19 +27,23 @@ fn scalar_channel_ping() {
 }
 
 #[test]
-fn scalar_channel_ping_all_engines_and_threads() {
+fn scalar_channel_ping_with_and_without_fast_forward_on_any_threads() {
     let m = ping_module();
     let mut reference: Option<TiledRunResult> = None;
-    for engine in Engine::ALL {
+    for fast_forward in [true, false] {
         for threads in [1, 2, 4] {
-            let cfg = WmConfig::default().with_tiles(2).with_engine(engine);
+            let cfg = WmConfig {
+                fast_forward,
+                ..WmConfig::default().with_tiles(2)
+            };
             let r = run_tiled(&m, &cfg, threads).expect("runs");
             assert_eq!(r.ret_int, 42);
+            let label = format!("fast_forward={fast_forward} x {threads} threads");
             if let Some(refr) = &reference {
-                assert_eq!(refr.cycles, r.cycles, "{engine:?} x {threads} threads");
+                assert_eq!(refr.cycles, r.cycles, "{label}");
                 for (a, b) in refr.tiles.iter().zip(&r.tiles) {
                     assert_eq!(a.cycles, b.cycles);
-                    assert_eq!(a.perf, b.perf, "{engine:?} x {threads} threads");
+                    assert_eq!(a.perf, b.perf, "{label}");
                 }
             } else {
                 reference = Some(r);
@@ -171,27 +142,6 @@ fn channel_on_single_tile_is_rejected() {
     assert!(matches!(err, SimError::BadProgram(_)), "{err}");
 }
 
-/// Compile a C workload through the full pipeline with the module-level
-/// tile-partitioning pass, exactly as `wmcc --tiles N` does.
-fn compile_partitioned(src: &str, tiles: usize) -> Module {
-    let opts = OptOptions::all().assume_noalias().with_tiles(tiles);
-    let mut module = wm_frontend::compile(src).expect("compiles");
-    let extents = wm_opt::GlobalExtents::of_module(&module);
-    for f in module.functions.iter_mut() {
-        wm_opt::optimize_generic(f, &opts);
-    }
-    if tiles > 1 {
-        wm_opt::partition_tiles(&mut module, "main", tiles)
-            .expect("workload should qualify for partitioning");
-    }
-    for f in module.functions.iter_mut() {
-        wm_target::expand_wm(f);
-        wm_opt::optimize_wm_with(f, &opts, &extents);
-        wm_target::allocate_registers(f, wm_target::TargetKind::Wm).expect("allocates");
-    }
-    module
-}
-
 fn iir_expected() -> i64 {
     match wm_workloads::all()
         .into_iter()
@@ -204,18 +154,14 @@ fn iir_expected() -> i64 {
     }
 }
 
-/// The engine-equivalence matrix, through the *compiler*: a partitioned
-/// C workload crossed over all three engines, tile counts 1/2/4 and
+/// The fast-forward matrix, through the *compiler*: a partitioned C
+/// workload crossed over fast-forward on/off, tile counts 1/2/4 and
 /// flat/banked memory must agree on the architectural result, the
 /// global cycle count and the **full** per-tile `Stats` — and the host
 /// thread count must be invisible throughout.
 #[test]
-fn partitioned_workload_engine_matrix_is_bit_identical() {
-    let src = wm_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "iir")
-        .expect("iir workload")
-        .source;
+fn partitioned_workload_fast_forward_matrix_is_bit_identical() {
+    let src = workload_source("iir");
     let expected = iir_expected();
     for tiles in [1usize, 2, 4] {
         let module = compile_partitioned(src, tiles);
@@ -227,17 +173,21 @@ fn partitioned_workload_engine_matrix_is_bit_identical() {
         }
         for mem in ["flat", "banked"] {
             let mut reference: Option<TiledRunResult> = None;
-            for engine in Engine::ALL {
+            for fast_forward in [true, false] {
                 for threads in [1usize, 2] {
-                    let cfg = WmConfig::default()
-                        .with_tiles(tiles)
-                        .with_engine(engine)
-                        .with_mem_model(MemModel::parse(mem).unwrap());
+                    let cfg = WmConfig {
+                        fast_forward,
+                        ..WmConfig::default()
+                            .with_tiles(tiles)
+                            .with_mem_model(MemModel::parse(mem).unwrap())
+                    };
+                    let label = format!(
+                        "{tiles} tiles, {mem}, fast_forward={fast_forward}, {threads} threads"
+                    );
                     let r = TiledMachine::run(&module, "main", &[], &cfg, threads)
-                        .unwrap_or_else(|e| panic!("{tiles}x{mem}/{engine}/t{threads}: {e}"));
-                    assert_eq!(r.ret_int, expected, "{tiles}x{mem}/{engine}/t{threads}");
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(r.ret_int, expected, "{label}");
                     if let Some(refr) = &reference {
-                        let label = format!("{tiles} tiles, {mem}, {engine}, {threads} threads");
                         assert_eq!(refr.cycles, r.cycles, "{label}: global cycles");
                         assert_eq!(refr.tiles.len(), r.tiles.len(), "{label}: tile count");
                         for (k, (a, b)) in refr.tiles.iter().zip(&r.tiles).enumerate() {
@@ -258,11 +208,7 @@ fn partitioned_workload_engine_matrix_is_bit_identical() {
 /// the same workload in simulated cycles (the point of the exercise).
 #[test]
 fn partitioned_livermore5_beats_single_tile() {
-    let w = wm_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "livermore5")
-        .expect("livermore5 workload");
-    let src = w.source;
+    let src = workload_source("livermore5");
     let banked = MemModel::parse("banked").unwrap();
     let one = TiledMachine::run(
         &compile_partitioned(src, 1),
@@ -512,12 +458,7 @@ fn channel_overrun_poisons_the_receiver() {
 /// `Stats` equality, not just matching cycle counts.
 #[test]
 fn one_tile_is_byte_identical_to_untiled_and_allocates_nothing() {
-    let src = wm_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "iir")
-        .expect("iir workload")
-        .source;
-    let module = compile_partitioned(src, 1);
+    let module = compile_partitioned(workload_source("iir"), 1);
     let cfg = WmConfig::default();
     let machine = WmMachine::new(&module, &cfg).expect("builds");
     assert!(

@@ -9,7 +9,6 @@
 //! returns a result is a miscompilation, and so is a spurious fault.
 
 use proptest::prelude::*;
-use wm_stream::sim::Engine;
 use wm_stream::{Compiler, MachineModel, MemModel, OptOptions, Target, WmConfig};
 
 /// Case count, overridable for deeper CI sweeps.
@@ -99,21 +98,29 @@ const MEM_SPECS: [&str; 6] = [
     "banked:size=512,assoc=2,sbufs=1,depth=2,banks=2",
 ];
 
-/// Run on the WM at one opt level under the chosen stepping engine and
-/// memory model; a memory fault is a legitimate outcome (`Err`),
+/// Run on the WM at one opt level with fast-forward on or off and the
+/// chosen memory model; a memory fault is a legitimate outcome (`Err`),
 /// anything else non-Ok (deadlock, timeout) is a test failure.
-fn run_wm_level(src: &str, opts: &OptOptions, engine: Engine, mem: &str) -> Result<i64, String> {
+fn run_wm_level(
+    src: &str,
+    opts: &OptOptions,
+    fast_forward: bool,
+    mem: &str,
+) -> Result<i64, String> {
     let c = Compiler::new()
         .options(opts.clone())
         .compile(src)
         .expect("compiles");
-    let cfg = WmConfig::default()
-        .with_engine(engine)
-        .with_mem_model(MemModel::parse(mem).expect("valid spec"));
+    let cfg = WmConfig {
+        fast_forward,
+        ..WmConfig::default().with_mem_model(MemModel::parse(mem).expect("valid spec"))
+    };
     match c.run_wm_config("main", &[], &cfg) {
         Ok(r) => Ok(r.ret_int),
         Err(e @ wm_stream::sim::SimError::Fault { .. }) => Err(e.to_string()),
-        Err(e) => panic!("non-fault failure under {opts:?} ({engine}, mem={mem}): {e}\n{src}"),
+        Err(e) => panic!(
+            "non-fault failure under {opts:?} (fast_forward={fast_forward}, mem={mem}): {e}\n{src}"
+        ),
     }
 }
 
@@ -138,18 +145,18 @@ proptest! {
     #[test]
     fn random_programs_agree_across_opt_levels_and_machines(
         src in arbitrary_program(),
-        engines in proptest::collection::vec(0..Engine::ALL.len(), 7),
+        fast_forward in proptest::collection::vec(0..2usize, 7),
         mems in proptest::collection::vec(0..MEM_SPECS.len(), 7),
     ) {
-        // The reference runs on the per-cycle stepper over flat memory;
-        // each opt level draws its engine (cycle, event or compiled) and
-        // memory model at random so every fuzzed program also exercises
-        // three-engine equivalence and the timing-only-hierarchy
-        // guarantee (results must never depend on the cache/DRAM
-        // configuration).
-        let reference = run_wm_level(&src, &OptOptions::none(), Engine::Cycle, "flat");
+        // The reference steps every cycle over flat memory; each opt
+        // level draws fast-forward on or off and its memory model at
+        // random, so every fuzzed program also exercises fast-forward
+        // exactness and the timing-only-hierarchy guarantee (results
+        // must never depend on the cache/DRAM configuration). Values
+        // are checked independently against the scalar machine below.
+        let reference = run_wm_level(&src, &OptOptions::none(), false, "flat");
 
-        for ((opts, engine_ix), mem_ix) in [
+        for ((opts, ff_ix), mem_ix) in [
             OptOptions::all().without_recurrence().without_streaming(),
             OptOptions::all().without_streaming(),
             OptOptions::all(),
@@ -164,12 +171,11 @@ proptest! {
             OptOptions::all().assume_noalias().with_modulo(),
         ]
         .into_iter()
-        .zip(engines)
+        .zip(fast_forward)
         .zip(mems)
         {
-            let engine = Engine::ALL[engine_ix];
             let mem = MEM_SPECS[mem_ix];
-            let r = run_wm_level(&src, &opts, engine, mem);
+            let r = run_wm_level(&src, &opts, ff_ix == 1, mem);
             match (&reference, &r) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "options {:?} mem={}\n{}", opts, mem, src),
                 (Err(_), Err(_)) => {} // both fault: agreement
@@ -194,14 +200,14 @@ proptest! {
     }
 
     #[test]
-    fn random_programs_get_identical_stats_from_all_engines(
+    fn random_programs_get_identical_stats_with_and_without_fast_forward(
         src in arbitrary_program(),
         mem_ix in 0..MEM_SPECS.len(),
         squash_ix in 0..3usize,
     ) {
         // Beyond fault-or-value agreement: on the fully optimized build
         // (noalias + speculative, so gathers, scatters and squashes all
-        // occur), all three engines must be bit-identical in every
+        // occur), fast-forward on and off must be bit-identical in every
         // observable — cycles, results, and the complete per-unit
         // counter set — under whichever memory model and squash-recovery
         // penalty the case draws.
@@ -213,25 +219,23 @@ proptest! {
         let cfg = WmConfig::default()
             .with_mem_model(mem)
             .with_squash_penalty([0, 3, 17][squash_ix]);
-        let cycle = c.run_wm_config("main", &[], &cfg.clone().with_engine(Engine::Cycle));
-        for engine in [Engine::Event, Engine::Compiled] {
-            let other = c.run_wm_config("main", &[], &cfg.clone().with_engine(engine));
-            match (&cycle, other) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.cycles, b.cycles, "{} cycle count differs\n{}", engine, &src);
-                    prop_assert_eq!(a.ret_int, b.ret_int, "{} result differs\n{}", engine, &src);
-                    prop_assert_eq!(&a.stats, &b.stats, "{} SimStats differ\n{}", engine, &src);
-                    prop_assert_eq!(&a.perf, &b.perf, "{} counters differ\n{}", engine, &src);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(), "cycle vs {} fail differently\n{}", engine, &src
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "one engine failed where the other succeeded ({}): {:?} vs {:?}\n{}",
-                    engine, a.as_ref().map(|r| r.cycles), b.map(|r| r.cycles), src
-                ),
+        let on = c.run_wm_config("main", &[], &cfg);
+        let off = c.run_wm_config("main", &[], &WmConfig { fast_forward: false, ..cfg });
+        match (on, off) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.cycles, b.cycles, "cycle count differs\n{}", &src);
+                prop_assert_eq!(a.ret_int, b.ret_int, "result differs\n{}", &src);
+                prop_assert_eq!(&a.stats, &b.stats, "SimStats differ\n{}", &src);
+                prop_assert_eq!(&a.perf, &b.perf, "counters differ\n{}", &src);
             }
+            (Err(a), Err(b)) => prop_assert_eq!(
+                a.to_string(), b.to_string(), "fast-forward on and off fail differently\n{}", &src
+            ),
+            (a, b) => prop_assert!(
+                false,
+                "fast-forward on/off: one failed where the other succeeded: {:?} vs {:?}\n{}",
+                a.map(|r| r.cycles), b.map(|r| r.cycles), src
+            ),
         }
     }
 }

@@ -1,9 +1,8 @@
 //! The `-O modulo` contract, end to end: solver-scheduled kernels are
-//! architecturally invisible (same results as the greedy schedule on
-//! every engine and memory model), never slower anywhere, and strictly
-//! faster on the ordering-limited integer kernels.
+//! architecturally invisible (same results as the greedy schedule with
+//! fast-forward on and off and on every memory model), never slower
+//! anywhere, and strictly faster on the ordering-limited integer kernels.
 
-use wm_stream::sim::Engine;
 use wm_stream::{Compiler, MemModel, OptOptions, WmConfig, Workload};
 
 fn greedy() -> OptOptions {
@@ -35,15 +34,16 @@ fn fallbacks() -> Vec<Workload> {
     ]
 }
 
-fn run(c: &wm_stream::Compiled, engine: Engine, mem: &MemModel) -> wm_stream::RunResult {
-    let cfg = WmConfig::default()
-        .with_engine(engine)
-        .with_mem_model(mem.clone());
+fn run(c: &wm_stream::Compiled, fast_forward: bool, mem: &MemModel) -> wm_stream::RunResult {
+    let cfg = WmConfig {
+        fast_forward,
+        ..WmConfig::default().with_mem_model(mem.clone())
+    };
     c.run_wm_config("main", &[], &cfg).expect("runs")
 }
 
 #[test]
-fn modulo_matches_greedy_on_every_engine_and_memory_model() {
+fn modulo_matches_greedy_with_and_without_fast_forward_on_every_memory_model() {
     let mems = [
         MemModel::parse("flat").unwrap(),
         MemModel::parse("banked").unwrap(),
@@ -58,28 +58,28 @@ fn modulo_matches_greedy_on_every_engine_and_memory_model() {
             .compile(w.source)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for mem in &mems {
-            let mut cycles_by_engine = Vec::new();
-            for engine in Engine::ALL {
-                let rg = run(&g, engine, mem);
-                let rm = run(&m, engine, mem);
+            let mut cycles_by_mode = Vec::new();
+            for fast_forward in [true, false] {
+                let label = format!("{} (fast_forward={fast_forward}, {mem})", w.name);
+                let rg = run(&g, fast_forward, mem);
+                let rm = run(&m, fast_forward, mem);
                 // Architecturally identical: same return, same output.
-                assert_eq!(rm.ret_int, rg.ret_int, "{} ({engine}, {mem})", w.name);
-                assert_eq!(rm.output, rg.output, "{} ({engine}, {mem})", w.name);
+                assert_eq!(rm.ret_int, rg.ret_int, "{label}");
+                assert_eq!(rm.output, rg.output, "{label}");
                 w.check(rm.ret_int);
                 // Never slower: the fallback is loop-by-loop.
                 assert!(
                     rm.cycles <= rg.cycles,
-                    "{} ({engine}, {mem}): modulo {} cycles vs greedy {}",
-                    w.name,
+                    "{label}: modulo {} cycles vs greedy {}",
                     rm.cycles,
                     rg.cycles
                 );
-                cycles_by_engine.push(rm.cycles);
+                cycles_by_mode.push(rm.cycles);
             }
-            // All three engines agree on the scheduled code's cycles.
+            // Fast-forward on and off agree on the scheduled code's cycles.
             assert!(
-                cycles_by_engine.windows(2).all(|p| p[0] == p[1]),
-                "{} ({mem}): engines disagree: {cycles_by_engine:?}",
+                cycles_by_mode.windows(2).all(|p| p[0] == p[1]),
+                "{} ({mem}): fast-forward on/off disagree: {cycles_by_mode:?}",
                 w.name
             );
         }
@@ -118,8 +118,8 @@ fn modulo_strictly_beats_greedy_on_ordering_limited_kernels() {
             }
         }
         // ...and the win must be real on the machine, not just estimated.
-        let rg = run(&g, Engine::Event, &flat);
-        let rm = run(&m, Engine::Event, &flat);
+        let rg = run(&g, true, &flat);
+        let rm = run(&m, true, &flat);
         assert!(
             rm.cycles < rg.cycles,
             "{}: modulo {} cycles is not below greedy {}",
@@ -144,8 +144,8 @@ fn modulo_fallback_keeps_bound_loops_bit_identical() {
             .expect("compiles");
         // Declined loops keep the greedy code, so the whole run is
         // cycle-for-cycle identical, not merely equal in results.
-        let rg = run(&g, Engine::Event, &flat);
-        let rm = run(&m, Engine::Event, &flat);
+        let rg = run(&g, true, &flat);
+        let rm = run(&m, true, &flat);
         assert_eq!(rm.cycles, rg.cycles, "{}", w.name);
         assert_eq!(rm.stats, rg.stats, "{}", w.name);
         // And the report says why: considered, but nothing pipelined.
