@@ -19,7 +19,7 @@
 //! deadlock (down to the reported cycle and machine-state dump) is
 //! **bit-identical** with fast-forward on and off
 //! ([`WmConfig::fast_forward`](crate::WmConfig::fast_forward)); the
-//! on/off tests in `tests/engine_equiv.rs`, the simulation golden and the
+//! on/off tests in `tests/fast_forward.rs`, the simulation golden and the
 //! differential fuzzer enforce this.
 //!
 //! Events that bound a jump:
